@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "core/utility.h"
 
@@ -27,6 +28,8 @@ Engine::Engine(const net::Topology& topo,
     }
   }
   rack_cache_.assign(topo.num_racks(), RackCache{});
+  rack_first_.assign(topo.num_racks(), kInvalidServer);
+  int_first_.assign(topo.num_intermediates(), kInvalidServer);
 }
 
 std::uint64_t Engine::TotalUsed() const {
@@ -178,19 +181,17 @@ BrokerId Engine::BestBrokerFor(std::span<const ServerId> accessed,
   }
   // Walk down from the root, following the branch that transferred the most
   // views; ties keep the current proxy's branch to avoid gratuitous moves.
-  std::array<std::uint32_t, 64> int_counts{};
-  std::array<std::uint32_t, 512> rack_counts{};
-  assert(topo_->num_intermediates() <= int_counts.size());
-  assert(topo_->num_racks() <= rack_counts.size());
+  int_counts_.assign(topo_->num_intermediates(), 0);
+  rack_counts_.assign(topo_->num_racks(), 0);
   for (ServerId s : accessed) {
-    ++int_counts[topo_->intermediate_of_server(s)];
-    ++rack_counts[topo_->rack_of_server(s)];
+    ++int_counts_[topo_->intermediate_of_server(s)];
+    ++rack_counts_[topo_->rack_of_server(s)];
   }
   const RackId current_rack = topo_->rack_of_broker(current);
   const std::uint16_t current_int = topo_->intermediate_of_rack(current_rack);
   std::uint16_t best_int = current_int;
   for (std::uint16_t i = 0; i < topo_->num_intermediates(); ++i) {
-    if (int_counts[i] > int_counts[best_int]) best_int = i;
+    if (int_counts_[i] > int_counts_[best_int]) best_int = i;
   }
   RackId best_rack = best_int == current_int
                          ? current_rack
@@ -199,7 +200,7 @@ BrokerId Engine::BestBrokerFor(std::span<const ServerId> accessed,
   for (RackId r = static_cast<RackId>(best_int *
                                       topo_->racks_per_intermediate());
        r < (best_int + 1) * topo_->racks_per_intermediate(); ++r) {
-    if (rack_counts[r] > rack_counts[best_rack]) best_rack = r;
+    if (rack_counts_[r] > rack_counts_[best_rack]) best_rack = r;
   }
   return topo_->broker_of_rack(best_rack);
 }
@@ -240,9 +241,11 @@ void Engine::RefreshRackCache(RackId r) const {
   RackCache& cache = rack_cache_[r];
   cache.first = kInvalidServer;
   cache.second = kInvalidServer;
+  cache.non_full = 0;
   for (ServerId s = topo_->rack_server_begin(r); s < topo_->rack_server_end(r);
        ++s) {
     if (servers_[s].Full()) continue;
+    ++cache.non_full;
     if (cache.first == kInvalidServer ||
         servers_[s].used() < servers_[cache.first].used()) {
       cache.second = cache.first;
@@ -258,12 +261,14 @@ void Engine::RefreshRackCache(RackId r) const {
 ServerId Engine::RackCandidate(RackId r, ViewId v) const {
   const RackCache& cache = rack_cache_[r];
   if (cache.dirty) RefreshRackCache(r);
-  if (cache.first != kInvalidServer && !servers_[cache.first].Has(v)) {
-    return cache.first;
-  }
-  if (cache.second != kInvalidServer && !servers_[cache.second].Has(v)) {
-    return cache.second;
-  }
+  // The cache lists the least-loaded non-full servers in order, so the
+  // first one not holding `v` is the answer; a rack whose cached servers
+  // all hold `v` has a candidate only beyond them.
+  if (cache.first == kInvalidServer) return kInvalidServer;  // rack is full
+  if (!servers_[cache.first].Has(v)) return cache.first;
+  if (cache.second == kInvalidServer) return kInvalidServer;
+  if (!servers_[cache.second].Has(v)) return cache.second;
+  if (cache.non_full <= 2) return kInvalidServer;
   // Both least-loaded servers hold the view already: fall back to a scan.
   ServerId best = kInvalidServer;
   for (ServerId s = topo_->rack_server_begin(r); s < topo_->rack_server_end(r);
@@ -349,30 +354,33 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
   ServerId nearest = registry_.NextClosestReplica(s, v, *topo_);
   if (nearest == kInvalidServer) nearest = s;  // sole replica: compare moves
 
+  // Every candidate is scored over the same collected reads and the same
+  // fallback cost, so both are computed once.
   const RackId wrack = write_rack(v);
-  double best_profit = EstimateProfit(*topo_, config_.exact_origins, *stats,
-                                      s, s, nearest, wrack, origin_scratch_);
+  stats->CollectReads(origin_scratch_);
+  const std::uint32_t writes = stats->TotalWrites();
+  const double nearest_cost =
+      ReadCost(*topo_, config_.exact_origins, origin_scratch_, s, nearest);
+  const auto profit_at = [&](ServerId candidate) {
+    return EstimateProfit(*topo_, config_.exact_origins, origin_scratch_,
+                          writes, s, candidate, nearest_cost, wrack);
+  };
+  double best_profit = profit_at(s);
   const double own_utility = best_profit;
   ServerId best_position = s;
 
-  stats->CollectReads(origin_scratch_);
-  // CollectReads refilled the scratch; keep a stable copy for iteration
-  // because EstimateProfit reuses the buffer.
-  std::vector<store::ReplicaStats::OriginReads> origins = origin_scratch_;
   // A view read from very many distinct origins has no single better
   // position (the flat topology exposes up to one origin per machine);
   // evaluating every candidate would also make Algorithm 3 quadratic in the
   // origin count. The tree topology's n + m - 1 origins stay well below
   // this cap.
   constexpr std::size_t kMaxMigrationOrigins = 24;
-  if (origins.size() <= kMaxMigrationOrigins) {
-    for (const auto& [origin, reads] : origins) {
+  if (origin_scratch_.size() <= kMaxMigrationOrigins) {
+    for (const auto& [origin, reads] : origin_scratch_) {
       (void)reads;
       const OriginScan scan = ScanOrigin(s, origin, v);
       if (scan.least_loaded == kInvalidServer) continue;
-      const double profit =
-          EstimateProfit(*topo_, config_.exact_origins, *stats, s,
-                         scan.least_loaded, nearest, wrack, origin_scratch_);
+      const double profit = profit_at(scan.least_loaded);
       if (profit > best_profit && profit > scan.min_threshold) {
         best_profit = profit;
         best_position = scan.least_loaded;
@@ -400,8 +408,36 @@ void Engine::TryMigrate(ViewId v, ServerId s, SimTime t) {
 void Engine::SnapshotClosest(ViewId v, std::vector<ServerId>& out) const {
   out.clear();
   out.reserve(topo_->num_brokers());
+  const std::vector<ServerId>& replicas = registry_.info(v).replicas;
+  if (topo_->is_flat()) {
+    for (BrokerId b = 0; b < topo_->num_brokers(); ++b) {
+      out.push_back(registry_.ClosestReplica(b, v, *topo_));
+    }
+    return;
+  }
+  // Tree distances are 1 inside the broker's rack, 3 inside its
+  // intermediate sub-tree and 5 elsewhere, and ties go to the lower id: the
+  // closest replica is the first (replicas ascend) in the broker's rack,
+  // else in its sub-tree, else overall.
+  for (ServerId r : replicas) {
+    const RackId rack = topo_->rack_of_server(r);
+    ServerId& rack_first = rack_first_[rack];
+    if (rack_first == kInvalidServer) rack_first = r;
+    ServerId& int_first = int_first_[topo_->intermediate_of_rack(rack)];
+    if (int_first == kInvalidServer) int_first = r;
+  }
   for (BrokerId b = 0; b < topo_->num_brokers(); ++b) {
-    out.push_back(registry_.ClosestReplica(b, v, *topo_));
+    const RackId rack = topo_->rack_of_broker(b);
+    ServerId closest = rack_first_[rack];
+    if (closest == kInvalidServer) {
+      closest = int_first_[topo_->intermediate_of_rack(rack)];
+    }
+    out.push_back(closest != kInvalidServer ? closest : replicas.front());
+  }
+  for (ServerId r : replicas) {
+    const RackId rack = topo_->rack_of_server(r);
+    rack_first_[rack] = kInvalidServer;
+    int_first_[topo_->intermediate_of_rack(rack)] = kInvalidServer;
   }
 }
 
@@ -409,8 +445,9 @@ void Engine::NotifyRoutingChange(ViewId v,
                                  std::span<const ServerId> closest_before,
                                  SimTime t) {
   const BrokerId wp = registry_.info(v).write_proxy;
+  SnapshotClosest(v, closest_after_scratch_);
   for (BrokerId b = 0; b < topo_->num_brokers(); ++b) {
-    if (registry_.ClosestReplica(b, v, *topo_) != closest_before[b]) {
+    if (closest_after_scratch_[b] != closest_before[b]) {
       traffic_.Record(topo_->PathBrokerBroker(wp, b),
                       config_.traffic.sys_msg_size, net::MsgClass::kSystem, t);
     }
@@ -608,10 +645,9 @@ void Engine::ImportViewStates(std::span<const ViewStateSnapshot> snaps) {
 
 // ----- Periodic maintenance (§3.2) -----
 
-void Engine::RecomputeUtilities(ServerId s) {
+void Engine::RecomputeUtilities(ServerId s, std::span<const ViewId> views) {
   store::StoreServer& server = servers_[s];
-  for (ViewId v : server.SortedViews()) {
-    if (!Maintains(v)) continue;
+  for (ViewId v : views) {
     if (Pinned(v)) {
       server.set_utility(v, store::kInfiniteUtility);
       continue;
@@ -625,27 +661,29 @@ void Engine::RecomputeUtilities(ServerId s) {
   }
 }
 
-void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t) {
+void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t,
+                                     std::vector<ViewId>& views) {
   store::StoreServer& server = servers_[s];
 
-  // Views with negative utility are automatically removed (§3.2).
-  for (ViewId v : server.SortedViews()) {
-    if (!Maintains(v)) continue;
+  // Views with negative utility are automatically removed (§3.2); `views`
+  // keeps the survivors.
+  std::size_t kept = 0;
+  for (ViewId v : views) {
     if (!Pinned(v) && server.utility(v) < 0) {
       DropReplica(v, s, t);
       ++counters_.replicas_dropped;
       ++counters_.drops_negative;
+    } else {
+      views[kept++] = v;
     }
   }
+  views.resize(kept);
 
   // Admission threshold: the utility of the view at the threshold_fill
   // percentile of *capacity*, or 0 while the server has room below it.
   std::vector<double> utilities;
-  utilities.reserve(server.used());
-  for (ViewId v : server.SortedViews()) {
-    if (!Maintains(v)) continue;
-    utilities.push_back(server.utility(v));
-  }
+  utilities.reserve(views.size());
+  for (ViewId v : views) utilities.push_back(server.utility(v));
   const auto fill_slots = static_cast<std::size_t>(
       std::ceil(config_.store.threshold_fill * server.capacity()));
   if (utilities.size() < fill_slots || fill_slots == 0) {
@@ -655,18 +693,21 @@ void Engine::UpdateThresholdAndEvict(ServerId s, SimTime t) {
     server.set_admission_threshold(utilities[fill_slots - 1]);
   }
 
-  // Proactive eviction keeps memory available above the watermark.
-  while (server.AboveWatermark()) {
-    ViewId victim = kInvalidView;
-    double victim_utility = store::kInfiniteUtility;
-    for (ViewId v : server.SortedViews()) {
-      if (!Maintains(v) || Pinned(v)) continue;
-      if (server.utility(v) < victim_utility) {
-        victim_utility = server.utility(v);
-        victim = v;
-      }
-    }
-    if (victim == kInvalidView) break;  // everything left is pinned
+  // Proactive eviction keeps memory available above the watermark: the
+  // lowest-utility evictable view goes first, ties to the lower id. Dropping
+  // one view changes neither another view's stored utility nor its pinned
+  // status (only the victim's replica count moves), so one sorted pass
+  // yields the same victims as re-picking the minimum after every drop.
+  if (!server.AboveWatermark()) return;
+  std::vector<std::pair<double, ViewId>> evictable;
+  for (ViewId v : views) {
+    if (Pinned(v)) continue;
+    const double utility = server.utility(v);
+    if (utility < store::kInfiniteUtility) evictable.emplace_back(utility, v);
+  }
+  std::sort(evictable.begin(), evictable.end());
+  for (const auto& [utility, victim] : evictable) {
+    if (!server.AboveWatermark()) break;
     DropReplica(victim, s, t);
     ++counters_.replicas_dropped;
     ++counters_.evictions_watermark;
@@ -677,8 +718,17 @@ void Engine::Tick(SimTime t) {
   ++current_slot_;
   if (!config_.adaptive) return;
   for (auto& server : servers_) server.RotateCounters();
-  for (ServerId s = 0; s < servers_.size(); ++s) RecomputeUtilities(s);
-  for (ServerId s = 0; s < servers_.size(); ++s) UpdateThresholdAndEvict(s, t);
+  // Each server's maintained views, listed once: during the tick a server's
+  // view set changes only through its own drops in UpdateThresholdAndEvict.
+  std::vector<std::vector<ViewId>> views(servers_.size());
+  for (ServerId s = 0; s < servers_.size(); ++s) {
+    views[s] = servers_[s].SortedViews();
+    std::erase_if(views[s], [&](ViewId v) { return !Maintains(v); });
+    RecomputeUtilities(s, views[s]);
+  }
+  for (ServerId s = 0; s < servers_.size(); ++s) {
+    UpdateThresholdAndEvict(s, t, views[s]);
+  }
 }
 
 // ----- Cluster management -----

@@ -227,6 +227,12 @@ class Engine {
   void SetWatchedView(ViewId v) { watched_view_ = v; }
   std::uint64_t TakeWatchedReads();
 
+  // The closest replica of `v` for every broker, indexed by broker id: the
+  // routing table the brokers hold (ViewRegistry::ClosestReplica for each
+  // broker, computed in one pass over the replica list on trees). `out` is
+  // overwritten.
+  void SnapshotClosest(ViewId v, std::vector<ServerId>& out) const;
+
  private:
   struct OriginScan {
     ServerId least_loaded = kInvalidServer;
@@ -250,12 +256,16 @@ class Engine {
   // piggybacking of §3.2 disseminates).
   OriginScan ScanOrigin(ServerId owner, std::uint16_t origin, ViewId v) const;
 
-  // Per-rack cache of the two least-loaded non-full servers, refreshed
-  // lazily after any load change in the rack. ScanOrigin runs on every read
-  // (Algorithms 2/3); without the cache it rescans whole sub-trees.
+  // Per-rack cache of the two least-loaded non-full servers and the number
+  // of non-full servers, refreshed lazily after any load change in the rack.
+  // ScanOrigin runs on every read (Algorithms 2/3). At the eviction
+  // watermark most racks are full (`first` is kInvalidServer), and the cache
+  // answers those without touching a server; only a rack with 3+ non-full
+  // servers whose two cached ones both hold the view is rescanned.
   struct RackCache {
     ServerId first = kInvalidServer;
     ServerId second = kInvalidServer;
+    std::uint32_t non_full = 0;
     bool dirty = true;
   };
   void TouchServer(ServerId s) {
@@ -287,7 +297,6 @@ class Engine {
   // closest replica changed (routing-table maintenance, §3.2).
   void NotifyRoutingChange(ViewId v, std::span<const ServerId> closest_before,
                            SimTime t);
-  void SnapshotClosest(ViewId v, std::vector<ServerId>& out) const;
 
   void MaybeMigrateReadProxy(UserId u, std::span<const ServerId> accessed,
                              SimTime t);
@@ -295,8 +304,11 @@ class Engine {
   BrokerId BestBrokerFor(std::span<const ServerId> accessed,
                          BrokerId current) const;
 
-  void RecomputeUtilities(ServerId s);
-  void UpdateThresholdAndEvict(ServerId s, SimTime t);
+  // Hourly maintenance of server `s` over its maintained views, ascending
+  // (Tick lists them once for both passes).
+  void RecomputeUtilities(ServerId s, std::span<const ViewId> views);
+  void UpdateThresholdAndEvict(ServerId s, SimTime t,
+                               std::vector<ViewId>& views);
 
   const net::Topology* topo_;
   EngineConfig config_;
@@ -315,11 +327,18 @@ class Engine {
   std::uint64_t watched_reads_ = 0;
   std::function<bool(ViewId)> maintenance_owner_;
 
-  // Scratch buffers reused across requests.
+  // Scratch buffers reused across requests; the per-rack and
+  // per-intermediate ones are sized from the topology. rack_first_ and
+  // int_first_ hold kInvalidServer everywhere between SnapshotClosest calls.
   mutable std::vector<store::ReplicaStats::OriginReads> origin_scratch_;
   std::vector<ServerId> accessed_scratch_;
   std::vector<ServerId> closest_scratch_;
+  std::vector<ServerId> closest_after_scratch_;
   mutable std::vector<std::uint32_t> flat_counts_;
+  mutable std::vector<std::uint32_t> rack_counts_;
+  mutable std::vector<std::uint32_t> int_counts_;
+  mutable std::vector<ServerId> rack_first_;
+  mutable std::vector<ServerId> int_first_;
   mutable std::vector<RackCache> rack_cache_;
 };
 

@@ -4,6 +4,10 @@
 // keeping the replica updated on writes.
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/types.h"
 #include "net/topology.h"
 #include "store/store_server.h"
@@ -20,5 +24,20 @@ double EstimateProfit(const net::Topology& topo, bool exact_origins,
                       const store::ReplicaStats& stats, ServerId owner,
                       ServerId candidate, ServerId nearest, RackId write_rack,
                       std::vector<store::ReplicaStats::OriginReads>& scratch);
+
+// Cost of serving the logged `reads` (origins relative to `owner`) from
+// `target`, summed in origin order.
+double ReadCost(const net::Topology& topo, bool exact_origins,
+                std::span<const store::ReplicaStats::OriginReads> reads,
+                ServerId owner, ServerId target);
+
+// EstimateProfit over reads collected once (ReplicaStats::CollectReads) and
+// scored at many candidates: `nearest_read_cost` is ReadCost(..., nearest)
+// and `writes` the replica's TotalWrites(). Bit-identical to the overload
+// above for the same inputs.
+double EstimateProfit(const net::Topology& topo, bool exact_origins,
+                      std::span<const store::ReplicaStats::OriginReads> reads,
+                      std::uint32_t writes, ServerId owner, ServerId candidate,
+                      double nearest_read_cost, RackId write_rack);
 
 }  // namespace dynasore::core

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -355,6 +356,136 @@ TEST(AdaptiveEngineTest, EvictionSkipsPinnedViews) {
                 AdaptiveConfig(/*capacity=*/4));
   engine.Tick(3600);
   EXPECT_EQ(engine.server(0).used(), 4u);
+}
+
+// Lowest utility goes first, ties to the lower view id. Server 0 (capacity
+// 10, watermark 0.7) holds views 0..9; views 0 and 1 are sole copies
+// (pinned), views 2..9 also live on server 4. Local reads through broker 0
+// give view 2 and 7 utility 40, view 9 20, view 5 4, and leave views 3, 4,
+// 6 and 8 at 0. At watermark 0.7 three drops bring server 0 to 7 views.
+Engine EvictionOrderEngine(const net::Topology& topo, double watermark) {
+  EngineConfig config = AdaptiveConfig(/*capacity=*/10);
+  config.store.evict_watermark = watermark;
+  config.enable_replication = false;
+  config.enable_migration = false;
+  config.enable_proxy_migration = false;
+  std::vector<std::vector<ServerId>> placement = {{0}, {0}};
+  for (ViewId v = 2; v < 10; ++v) placement.push_back({0, 4});
+  placement.push_back({1});  // view 10: the reader, proxy on broker 0
+  Engine engine(topo, MakePlacement(std::move(placement)), config);
+  SimTime t = 0;
+  for (const auto& [view, reads] :
+       {std::pair{2, 10}, {5, 1}, {7, 10}, {9, 5}}) {
+    const std::vector<ViewId> targets{static_cast<ViewId>(view)};
+    for (int i = 0; i < reads; ++i) engine.ExecuteRead(10, targets, ++t);
+  }
+  engine.Tick(3600);
+  return engine;
+}
+
+std::vector<ViewId> HeldViews(const Engine& engine, ServerId s) {
+  return engine.server(s).SortedViews();
+}
+
+TEST(AdaptiveEngineTest, EvictionDropsLowestUtilityThenLowestId) {
+  const auto topo = SmallTopo();
+  const Engine engine = EvictionOrderEngine(topo, /*watermark=*/0.7);
+  // Views 3, 4, 6 and 8 tie at utility 0: the three drops take the three
+  // lowest ids among them and keep view 8 and view 5 (utility 4).
+  EXPECT_EQ(HeldViews(engine, 0),
+            (std::vector<ViewId>{0, 1, 2, 5, 7, 8, 9}));
+}
+
+TEST(AdaptiveEngineTest, EvictionNeverDropsPinnedViews) {
+  // A watermark of 1 view: every evictable replica goes, the pinned sole
+  // copies stay even though the server remains above the watermark.
+  const auto topo = SmallTopo();
+  const Engine engine = EvictionOrderEngine(topo, /*watermark=*/0.1);
+  EXPECT_EQ(HeldViews(engine, 0), (std::vector<ViewId>{0, 1}));
+  EXPECT_TRUE(engine.server(0).AboveWatermark());
+  for (ViewId v = 0; v < 10; ++v) EXPECT_GE(engine.ReplicaCount(v), 1u);
+}
+
+// ----- Candidate search (Algorithm 2) -----
+
+// View 0 on server 0 (rack 0) is read from broker 1 (rack 1, same
+// intermediate), so rack 1 is the only rack its read origin covers.
+// Capacity 2: server 2 holds views 1 and 2, server 3 holds view 3 and, with
+// `rack_full`, view 4 too.
+Engine OneRackOriginEngine(const net::Topology& topo, bool rack_full) {
+  EngineConfig config = AdaptiveConfig(/*capacity=*/2);
+  config.enable_proxy_migration = false;
+  std::vector<std::vector<ServerId>> placement = {{0}, {2}, {2}, {3}};
+  if (rack_full) placement.push_back({3});
+  Engine engine(topo, MakePlacement(std::move(placement)), config);
+  const std::vector<ViewId> targets{0};
+  for (int i = 0; i < 3; ++i) engine.ExecuteRead(1, targets, i);
+  return engine;
+}
+
+TEST(AdaptiveEngineTest, NoReplicaIntoFullRack) {
+  const auto topo = SmallTopo();
+  const Engine full = OneRackOriginEngine(topo, /*rack_full=*/true);
+  EXPECT_EQ(full.registry().info(0).replicas, (std::vector<ServerId>{0}));
+  EXPECT_EQ(full.counters().replicas_created, 0u);
+  EXPECT_EQ(full.counters().migrations, 0u);
+  EXPECT_EQ(full.server(2).used(), 2u);
+  EXPECT_EQ(full.server(3).used(), 2u);
+
+  // Control: one free slot in the rack and the same reads replicate there.
+  const Engine room = OneRackOriginEngine(topo, /*rack_full=*/false);
+  EXPECT_EQ(room.registry().info(0).replicas, (std::vector<ServerId>{0, 3}));
+  EXPECT_EQ(room.counters().replicas_created, 1u);
+}
+
+// View 0 lives on servers 0 (rack 0, intermediate 0) and 7 (rack 3,
+// intermediate 1); server 0's log holds 5 reads from the aggregated
+// intermediate-1 origin (racks 2 and 3). Capacity 3: servers 4 and 5 are
+// full, server 6 is full unless `server6_room`, and server 7 has room but
+// already holds the view.
+Engine OnlyFreeServerHoldsViewEngine(const net::Topology& topo,
+                                     bool server6_room) {
+  EngineConfig config = AdaptiveConfig(/*capacity=*/3);
+  config.enable_proxy_migration = false;
+  std::vector<std::vector<ServerId>> placement = {{0}, {1}};
+  for (ServerId s : {4, 4, 4, 5, 5, 5, 6, 6}) placement.push_back({s});
+  if (!server6_room) placement.push_back({6});
+  Engine engine(topo, MakePlacement(std::move(placement)), config);
+
+  ViewStateSnapshot snap = engine.ExportViewState(0);
+  // Local reads keep the replica on server 0 worth its slot (utility > 0),
+  // so Algorithm 3 leaves it in place.
+  snap.replicas[0].stats.RecordRead(/*origin=*/0, 10);
+  snap.replicas[0].stats.RecordRead(topo.OriginIndex(0, /*broker_rack=*/2), 5);
+  ViewStateSnapshot::Replica far;
+  far.server = 7;
+  far.stats = store::ReplicaStats(config.store.counter_slots);
+  snap.replicas.push_back(far);
+  engine.ImportViewState(snap);
+
+  // User 1 (proxy on broker 0) reads view 0 from server 0, which runs
+  // Algorithms 2 and 3 over its log.
+  const std::vector<ViewId> targets{0};
+  engine.ExecuteRead(1, targets, 0);
+  return engine;
+}
+
+TEST(AdaptiveEngineTest, NoReplicaIntoRackWhoseOnlyFreeServerHoldsView) {
+  const auto topo = SmallTopo();
+  const Engine engine =
+      OnlyFreeServerHoldsViewEngine(topo, /*server6_room=*/false);
+  EXPECT_EQ(engine.registry().info(0).replicas,
+            (std::vector<ServerId>{0, 7}));
+  EXPECT_EQ(engine.counters().replicas_created, 0u);
+  EXPECT_EQ(engine.counters().replicas_dropped, 0u);
+  EXPECT_EQ(engine.counters().migrations, 0u);
+
+  // Control: a free slot on server 6 takes the intermediate-1 origin.
+  const Engine room =
+      OnlyFreeServerHoldsViewEngine(topo, /*server6_room=*/true);
+  EXPECT_EQ(room.registry().info(0).replicas,
+            (std::vector<ServerId>{0, 6, 7}));
+  EXPECT_EQ(room.counters().replicas_created, 1u);
 }
 
 // ----- Admission thresholds -----

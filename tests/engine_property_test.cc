@@ -25,6 +25,22 @@ struct WorkloadCase {
   std::uint64_t seed;
 };
 
+// Engine::SnapshotClosest must equal ViewRegistry::ClosestReplica for every
+// (view, broker) pair.
+void ExpectSnapshotMatchesRegistry(const Engine& engine,
+                                   const net::Topology& topo,
+                                   std::uint32_t num_views) {
+  std::vector<ServerId> snapshot;
+  for (ViewId v = 0; v < num_views; ++v) {
+    engine.SnapshotClosest(v, snapshot);
+    ASSERT_EQ(snapshot.size(), topo.num_brokers());
+    for (BrokerId b = 0; b < topo.num_brokers(); ++b) {
+      ASSERT_EQ(snapshot[b], engine.registry().ClosestReplica(b, v, topo))
+          << "view " << v << " broker " << b;
+    }
+  }
+}
+
 // Drives a random mix of reads/writes/ticks through an engine and checks
 // the invariants after every simulated hour.
 void DriveAndCheck(Engine& engine, const net::Topology& topo,
@@ -78,6 +94,8 @@ void DriveAndCheck(Engine& engine, const net::Topology& topo,
       ASSERT_LT(engine.read_proxy(v), topo.num_brokers());
       ASSERT_LT(engine.write_proxy(v), topo.num_brokers());
     }
+    // Invariant 4: the engine's routing snapshot is the registry's routing.
+    ExpectSnapshotMatchesRegistry(engine, topo, num_views);
   }
 }
 
@@ -198,6 +216,42 @@ TEST_P(CrashStormTest, NoViewEverLost) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashStormTest, ::testing::Values(1, 2, 3));
+
+// Random replica sets of every size, from one copy to a quarter of the
+// cluster, on tree shapes with a single rack per intermediate, the paper's
+// 5x5x10, one server per rack over 600 racks, and a flat cluster.
+TEST(ClosestSnapshotTest, OnePassMatchesRegistryOnRandomReplicaSets) {
+  const std::vector<net::Topology> topologies = {
+      net::Topology::MakeTree(net::TreeConfig{3, 1, 4}),
+      net::Topology::MakeTree(net::TreeConfig{5, 5, 10}),
+      net::Topology::MakeTree(net::TreeConfig{2, 300, 2}),
+      net::Topology::MakeFlat(40),
+  };
+  for (const net::Topology& topo : topologies) {
+    common::Rng rng(topo.num_servers());
+    const std::uint32_t num_views = 200;
+    place::PlacementResult placement;
+    for (ViewId v = 0; v < num_views; ++v) {
+      const std::uint64_t copies =
+          1 + rng.NextBounded(std::max(1, topo.num_servers() / 4));
+      std::vector<ServerId> replicas;
+      while (replicas.size() < copies) {
+        const auto s =
+            static_cast<ServerId>(rng.NextBounded(topo.num_servers()));
+        if (std::find(replicas.begin(), replicas.end(), s) == replicas.end()) {
+          replicas.push_back(s);
+        }
+      }
+      std::sort(replicas.begin(), replicas.end());
+      placement.master.push_back(replicas.front());
+      placement.replicas.push_back(std::move(replicas));
+    }
+    EngineConfig config;
+    config.store.capacity_views = num_views;
+    const Engine engine(topo, placement, config);
+    ExpectSnapshotMatchesRegistry(engine, topo, num_views);
+  }
+}
 
 // Determinism: identical configuration and request sequence must produce
 // bit-identical traffic and replica layouts.

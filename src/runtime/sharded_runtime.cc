@@ -161,6 +161,7 @@ void ShardedRuntime::InstallMaintenanceOwners() {
 // Runs on the worker thread, inside the placement gate: the dispatcher is
 // blocked in WaitFor and every other worker is in its own kPlace task (or
 // parked), so map_/fabric_ are stable and no channel has an active producer.
+// Called once per worker, as the first task after its spawn.
 void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
   const PlacementConfig& pc = config_.placement;
   std::uint64_t requested = ~std::uint64_t{0};
@@ -198,7 +199,7 @@ void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
 
   if (pc.first_touch) {
     if (rebuild_engine) {
-      // First run, pristine engines: reconstructing from the runtime's
+      // First spawn, pristine engines: reconstructing from the runtime's
       // immutable inputs yields a bit-identical engine whose store pages
       // are first-touched on this (now possibly pinned) worker instead of
       // the dispatcher. Never done once any state was executed or imported.
@@ -228,16 +229,28 @@ void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
   }
 }
 
-void ShardedRuntime::RunPlacementPhase(
-    std::span<const std::uint32_t> shard_indices, bool rebuild_engines) {
-  if (!config_.placement.Active() || shard_indices.empty()) return;
-  for (std::uint32_t s : shard_indices) {
-    Task task;
-    task.kind = Task::Kind::kPlace;
-    task.rebuild_engine = rebuild_engines;
-    shards_[s]->tasks.Push(std::move(task));
+void ShardedRuntime::SpawnWorkers() {
+  std::vector<Shard*> spawned;
+  for (auto& shard : shards_) {
+    if (shard->worker.joinable()) continue;
+    Shard* sp = shard.get();
+    sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
+    spawned.push_back(sp);
   }
-  gate_.WaitFor(static_cast<std::uint32_t>(shard_indices.size()));
+  // Placement phase: each new worker pins itself and first-touches its hot
+  // memory before its first request; the gate makes it a barrier, so no
+  // producer can race a consumer-side ring prefault. Workers spawned
+  // earlier are parked on their queues, so the gate counts only these.
+  if (config_.placement.Active() && !spawned.empty()) {
+    for (Shard* sp : spawned) {
+      Task task;
+      task.kind = Task::Kind::kPlace;
+      task.rebuild_engine = engines_pristine_ && config_.placement.first_touch;
+      sp->tasks.Push(std::move(task));
+    }
+    gate_.WaitFor(static_cast<std::uint32_t>(spawned.size()));
+  }
+  engines_pristine_ = false;
 }
 
 ShardedRuntime::~ShardedRuntime() {
@@ -276,7 +289,7 @@ void ShardedRuntime::Reconfigure(std::uint32_t new_shard_count) {
     // An aborted run may have left a migration window open; close it first
     // (one step — there is no serving to pause between runs), then apply.
     if (migration_.has_value()) FinishMigrationNow();
-    ApplyReconfigure(new_shard_count, /*threaded=*/false, /*epoch_end=*/0);
+    ApplyReconfigure(new_shard_count, /*epoch_end=*/0);
   }
 }
 
@@ -327,7 +340,7 @@ void ShardedRuntime::RetireShard(Shard& shard) {
   retired_.Fold(shard);
 }
 
-void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count, bool threaded,
+void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count,
                                       SimTime epoch_end) {
   const std::uint32_t old_n = map_.num_shards();
   if (new_count == old_n) return;
@@ -342,7 +355,7 @@ void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count, bool threaded,
   auto new_fabric =
       MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
 
-  // Split: spawn the new shards first so every new owner's engine exists
+  // Split: build the new shards first so every new owner's engine exists
   // before the hand-off. Their maintenance slot is seeded from a surviving
   // engine (ticks are broadcast, so all engines agree on the slot).
   const std::uint32_t slot = shards_.front()->engine->current_slot();
@@ -419,19 +432,6 @@ void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count, bool threaded,
   // every payload (docs/fault_tolerance.md).
   health_.Resize(new_count);
   if (replicator_ != nullptr) replicator_->Rebase(new_count);
-  if (threaded) {
-    std::vector<std::uint32_t> spawned;
-    for (std::uint32_t s = old_n; s < new_count; ++s) {
-      Shard* sp = shards_[s].get();
-      sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
-      spawned.push_back(s);
-    }
-    // Mid-run spawns pin and prefault too; never an engine rebuild — their
-    // engines just imported migrated state. Surviving workers are parked at
-    // the boundary, so the placement gate only counts the new arrivals.
-    RunPlacementPhase(spawned, /*rebuild_engines=*/false);
-  }
-
   ReconfigEvent event;
   event.epoch_end = epoch_end;
   event.from_shards = old_n;
@@ -447,13 +447,13 @@ void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count, bool threaded,
 
 // ----- Incremental migration (bounded batches per epoch boundary) -----
 
-void ShardedRuntime::BeginReconfigure(std::uint32_t new_count, bool threaded,
+void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
                                       SimTime epoch_end) {
   const std::uint32_t old_n = map_.num_shards();
   if (new_count == old_n) return;
   const std::uint32_t batch = config_.migration_batch;
   if (batch == 0) {
-    ApplyReconfigure(new_count, threaded, epoch_end);
+    ApplyReconfigure(new_count, epoch_end);
     return;
   }
   engines_pristine_ = false;  // the window below imports view state
@@ -485,35 +485,15 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count, bool threaded,
         shards_.back()->engine->SeedSlot(slot);
       }
       for (auto& shard : shards_) shard->outbox.assign(new_count, Outbox{});
-      if (threaded) {
-        for (std::uint32_t s = old_n; s < new_count; ++s) {
-          Shard* sp = shards_[s].get();
-          sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
-        }
-      }
     } catch (...) {
-      // New workers are parked on empty queues; the non-allocating close
-      // path releases them. Shrinking an outbox vector reuses its existing
+      // The new shards have no workers yet (the run loop spawns them before
+      // the next dispatch). Shrinking an outbox vector reuses its existing
       // capacity, so the rollback itself cannot throw.
-      for (std::size_t s = old_n; s < shards_.size(); ++s) {
-        Shard& doomed = *shards_[s];
-        doomed.tasks.Close();
-        if (doomed.worker.joinable()) doomed.worker.join();
-      }
       while (shards_.size() > old_n) shards_.pop_back();
       for (auto& shard : shards_) shard->outbox.assign(old_n, Outbox{});
       throw;
     }
     fabric_ = std::move(new_fabric);  // nothrow commit
-    if (threaded) {
-      // Placement for the window's new workers, against the *committed*
-      // fabric (prefaulting the about-to-be-replaced one would be wasted).
-      // No engine rebuild: these engines are about to import migrated
-      // state. Existing workers are parked, so the gate counts only these.
-      std::vector<std::uint32_t> spawned;
-      for (std::uint32_t s = old_n; s < new_count; ++s) spawned.push_back(s);
-      RunPlacementPhase(spawned, /*rebuild_engines=*/false);
-    }
   }
   // Merge: the retiring shards keep serving their unmigrated views, so the
   // live set, the fabric, and every outbox stay at old_n until the final
@@ -1155,12 +1135,12 @@ void ShardedRuntime::KillShardAtBoundary(std::uint32_t s, SimTime epoch_end) {
     }
   }
 
-  // The kill itself: park the worker, fold the dead engine's counters and
+  // The kill itself: join the worker, fold the dead engine's counters and
   // traffic into the retained aggregates (the Shard — its stats and
   // histograms — survives; a full RetireShard fold would double-count at
   // merge time), and swap in a fresh engine seeded to the current slot.
-  const bool had_worker = shard.worker.joinable();
-  if (had_worker) {
+  // The run loop spawns the replacement worker before its next dispatch.
+  if (shard.worker.joinable()) {
     RequestShutdown(shard);
     shard.worker.join();
   }
@@ -1170,12 +1150,6 @@ void ShardedRuntime::KillShardAtBoundary(std::uint32_t s, SimTime epoch_end) {
   if (persist_ != nullptr) fresh->AttachPersistentStore(persist_);
   fresh->SeedSlot(slot);
   shard.engine = std::move(fresh);
-  if (had_worker) {
-    Shard* sp = &shard;
-    shard.worker = std::thread([this, sp] { WorkerLoop(*sp); });
-    const std::uint32_t spawned[] = {s};
-    RunPlacementPhase(spawned, /*rebuild_engines=*/false);
-  }
 
   if (window.items.empty()) {
     health_.Set(s, ShardHealth::kUp);  // nothing owned, nothing to rebuild
@@ -1918,9 +1892,10 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   // Leaves the runtime reusable if the run unwinds anywhere after this
   // point — a throwing epoch hook (which fires at a boundary where every
   // worker is parked, so an orderly shutdown is always possible), a failed
-  // worker spawn, an allocation failure. Disarmed on normal completion:
-  // the success path joins workers itself and must keep any late pending
-  // request alive for the run-end apply.
+  // worker spawn, an allocation failure. The next Run respawns the joined
+  // workers. Disarmed on normal completion: the success path leaves its
+  // workers parked for the next Run and must keep any late pending request
+  // alive for the run-end apply.
   struct AbortGuard {
     ShardedRuntime* rt;
     bool armed = true;
@@ -1973,23 +1948,11 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
   const bool threaded = config_.spawn_threads;
   const bool eager = config_.drain == DrainPolicy::kEager;
 
-  if (threaded) {
-    for (auto& shard : shards_) {
-      Shard* s = shard.get();
-      shard->worker = std::thread([this, s] { WorkerLoop(*s); });
-    }
-    // Placement phase: each worker pins itself and first-touches its hot
-    // memory before the first request is dispatched; the gate makes it a
-    // barrier, so no producer can race a consumer-side ring prefault. The
-    // inline fallback has no worker threads, so placement is a no-op there.
-    if (config_.placement.Active()) {
-      std::vector<std::uint32_t> all(n);
-      for (std::uint32_t s = 0; s < n; ++s) all[s] = s;
-      RunPlacementPhase(all,
-                        engines_pristine_ && config_.placement.first_touch);
-    }
-  }
-  engines_pristine_ = false;
+  // Every shard needs a worker before anything is dispatched to it: all of
+  // them on the first Run, afterwards only those a between-runs split
+  // created, a between-runs kill joined or an aborted Run shut down. Done
+  // before the clock starts, so wall time stays the replay's own.
+  if (threaded) SpawnWorkers();
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto& requests = log.requests;
@@ -2193,13 +2156,16 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       // nothing ran since the sample above, so no activity is lost.
       ResetTelemetryBaselines();
     } else if (pending != 0 && pending != n) {
-      BeginReconfigure(pending, threaded, epoch_end);
+      BeginReconfigure(pending, epoch_end);
       n = map_.num_shards();
       staging.resize(n);
       backlog_sum.resize(n);
       backlog_batches.resize(n);
       ResetTelemetryBaselines();
     }
+    // Workers for the shards a split at this boundary created, and for a
+    // shard killed here.
+    if (threaded) SpawnWorkers();
     if (telemetry_ != nullptr) epoch_start_ns = NowNs();
 
     // An open migration or rebuild window — or a delayed batch still held
@@ -2216,8 +2182,9 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       break;
     }
   }
+  // Workers stay parked on their task queues until the next Run (see the
+  // worker-lifecycle note at SpawnWorkers in the header).
   abort_guard.armed = false;
-  if (threaded) ShutdownWorkers();
 
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
@@ -2238,7 +2205,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
     const std::uint32_t leftover = pending_shards_;
     pending_shards_ = 0;
     if (leftover != 0) {
-      ApplyReconfigure(leftover, /*threaded=*/false, /*epoch_end=*/0);
+      ApplyReconfigure(leftover, /*epoch_end=*/0);
     }
   }
   return result;

@@ -106,12 +106,12 @@ enum class TraceEventType : std::uint8_t;
 // Ownership and thread-safety: each shard's ShardStats has exactly one
 // writer — the shard's worker thread (or the calling thread in the inline
 // fallback). The dispatcher reads them only at quiescent points (epoch
-// boundaries, where every worker is parked on its task queue, and after
-// workers are joined at run end), which is also when the auto-scaler takes
-// its per-epoch deltas; no other thread may touch them while a run is in
-// progress. An in-flight incremental migration changes nothing here: a
-// retiring shard keeps accumulating into its own stats until the final
-// batch folds them into the retained aggregates.
+// boundaries and between runs, where every worker is parked on its task
+// queue — see SpawnWorkers for the ordering), which is also when the
+// auto-scaler takes its per-epoch deltas; no other thread may touch them
+// while a run is in progress. An in-flight incremental migration changes
+// nothing here: a retiring shard keeps accumulating into its own stats
+// until the final batch folds them into the retained aggregates.
 //
 // Every field is a monotonically non-decreasing count over the shard's
 // lifetime. operator+= is plain modular uint64 addition (merging cannot
@@ -455,7 +455,8 @@ class ShardedRuntime {
   void SetFaultInjector(const FaultInjector* injector);
 
   // Kills shard `shard` now: its engine (all in-memory view state) is
-  // destroyed and replaced by a fresh one, its worker restarted, reads
+  // destroyed and replaced by a fresh one, its worker joined (the run loop
+  // spawns a new one before the shard's next dispatch), reads
   // failed over to a fresh backup where replication provides one, and an
   // online rebuild window opened that restores the lost views in bounded
   // batches at subsequent boundaries (docs/fault_tolerance.md). Dispatcher
@@ -511,7 +512,7 @@ class ShardedRuntime {
     std::vector<SeqRequest> requests;  // kRequests
     std::vector<SimTime> ticks;        // kDrainEpoch
     // kPlace: rebuild this shard's engine on the worker (first-touch of the
-    // store pages). Only set on the first Run while the engines are
+    // store pages). Only set on the first spawn while the engines are
     // pristine — never after requests executed or state was imported.
     bool rebuild_engine = false;
   };
@@ -604,6 +605,9 @@ class ShardedRuntime {
     // the quiescent point — transient, so kills and retires need no fold).
     std::vector<JoinOrigin> join_origins;
     std::vector<SliceDone> slice_done;
+    // Lives as long as the shard (see SpawnWorkers); not joinable in the
+    // inline fallback and between a kill or an aborted Run and the next
+    // dispatch.
     std::thread worker;
 
     // Async replication buffer (single-writer: this shard's worker; read by
@@ -651,20 +655,37 @@ class ShardedRuntime {
   void InstallMaintenanceOwners();
   // Runs on the worker thread as its first task (Task::Kind::kPlace):
   // pins the thread per PlacementConfig, optionally rebuilds the engine
-  // (first_touch on a pristine first run) and prefaults the consumer side
-  // of the shard's inbound channels, then records the achieved placement
-  // as a kPlacement trace event. Failures degrade to a recorded no-op.
+  // (first_touch on pristine engines) and prefaults the consumer side of
+  // the shard's inbound channels, then records the achieved placement as a
+  // kPlacement trace event. Failures degrade to a recorded no-op.
   void ApplyPlacement(Shard& shard, bool rebuild_engine);
-  // Dispatcher side: pushes a kPlace task to each shard in `shards` and
-  // waits for all of them on the gate, so no producer can race a
-  // consumer-side prefault. No-op when placement is inactive.
-  void RunPlacementPhase(std::span<const std::uint32_t> shard_indices,
-                         bool rebuild_engines);
+
+  // ----- Worker lifecycle (RuntimeConfig::spawn_threads) -----
+  //
+  // A worker lives as long as its shard. SpawnWorkers starts one for every
+  // shard that has none and, when placement is active, runs the placement
+  // phase (a kPlace task per new worker, then the gate) for just those — so
+  // pinning and first-touch happen once per worker. Run calls it at start
+  // and after every epoch boundary: on the first Run it spawns them all,
+  // afterwards only the shards a split created, a kill joined or an aborted
+  // Run shut down. A worker is joined only when its shard is retired by a
+  // merge (RetireShard), killed (KillShardAtBoundary), when an aborted
+  // Run's guard calls ShutdownWorkers, or by the destructor.
+  //
+  // Between Runs every worker is parked in a blocking Pop on its task queue
+  // (no CPU), and the dispatcher-side work done then — Reconfigure,
+  // KillShard, telemetry track rewiring, AttachPersistentStore, the
+  // accessors — touches state workers own without racing them: a worker's
+  // last access in a Run precedes its gate_.Arrive(), its next access
+  // follows a task-queue Push, and both take a mutex the dispatcher also
+  // takes (WaitFor, Push), so every such access is ordered by them.
+  void SpawnWorkers();
   // Pushes a kShutdown task; the worker exits after finishing queued work.
   static void RequestShutdown(Shard& shard);
-  // Stops every live worker: shutdown tasks first, then joins. Shards with
-  // no running worker (inline mode, spawn failed midway) are left alone so
-  // no stale shutdown task can linger into a later Run.
+  // Stops every live worker: shutdown tasks first, then joins. The abort
+  // path only — a completed Run leaves its workers parked. Shards with no
+  // running worker (inline mode, spawn failed midway) are left alone so no
+  // stale shutdown task can linger into a later Run.
   void ShutdownWorkers();
   // Folds a retiring shard's counters, stats, traffic and histograms into
   // the retained accumulators and shuts down its worker if one is running.
@@ -672,8 +693,7 @@ class ShardedRuntime {
   // Applies a shard-count change in one quiesced pause. Epoch-boundary
   // only: every worker must be quiescent and every fabric channel empty
   // (or no run in progress).
-  void ApplyReconfigure(std::uint32_t new_count, bool threaded,
-                        SimTime epoch_end);
+  void ApplyReconfigure(std::uint32_t new_count, SimTime epoch_end);
 
   // ----- Incremental migration (RuntimeConfig::migration_batch > 0) -----
   //
@@ -698,8 +718,7 @@ class ShardedRuntime {
     std::size_t next = 0;
   };
 
-  void BeginReconfigure(std::uint32_t new_count, bool threaded,
-                        SimTime epoch_end);
+  void BeginReconfigure(std::uint32_t new_count, SimTime epoch_end);
   void StepMigration(SimTime epoch_end);
   void FinishMigrationNow();
   // Migrates ledger entries [window.next, window.next + batch) and installs
@@ -767,8 +786,8 @@ class ShardedRuntime {
   // Post-drain quiescent point: fires the injector's kills for this epoch.
   void ApplyScheduledKills(std::uint64_t epoch_index);
   // The kill itself: accounting, double-fault reclassification of other
-  // windows, engine replace + worker respawn, failover re-route, and the
-  // new rebuild window. `epoch_end` is 0 between runs.
+  // windows, worker join + engine replace, failover re-route, and the new
+  // rebuild window. `epoch_end` is 0 between runs.
   void KillShardAtBoundary(std::uint32_t shard, SimTime epoch_end);
   // Processes up to rebuild_batch items across all open windows; completed
   // windows return their shard to UP. Returns true if any item was
@@ -881,9 +900,9 @@ class ShardedRuntime {
   std::vector<std::unique_ptr<Shard>> shards_;
   Gate gate_;
 
-  // True until the first Run dispatches work or any reconfiguration
-  // imports state — the window in which a placement engine rebuild is
-  // guaranteed to reproduce the constructor-built engine exactly.
+  // True until the first worker spawn or any reconfiguration or kill
+  // changes engine state — the window in which a placement engine rebuild
+  // is guaranteed to reproduce the constructor-built engine exactly.
   bool engines_pristine_ = true;
 
   // Reconfiguration request hand-off (any thread -> dispatcher) and the

@@ -357,7 +357,9 @@ TEST(RuntimeTelemetryTest, PlacementEventsRecordOutcomePerShard) {
     EXPECT_EQ(e.dur_ns, 0u);
     EXPECT_EQ(e.u3, 1u);  // first_touch was requested
     EXPECT_STRNE(e.label, "");
-    if (e.u2 != 0) EXPECT_EQ(e.u1, e.u0);  // pinned => achieved == requested
+    if (e.u2 != 0) {
+      EXPECT_EQ(e.u1, e.u0);  // pinned => achieved == requested
+    }
     ++placements;
   }
   EXPECT_EQ(placements, 2u);

@@ -17,21 +17,17 @@
 // epoch drain hides). Each configuration runs with the persistent store's
 // payload mode off and on, measuring the replicated-write coherence path.
 //
-// A third section ("tuned16") runs the high-shard-count showdown: the
-// pre-PR default configuration (queue_depth=64, batch_size=128, single-op
-// drains, unpinned) against the tuned fast path (the committed swept
-// defaults, batched drains, pinned + first-touched workers) at 16 shards,
-// both spsc+epoch. Both runs must conserve every request (the verdict is
-// the process exit code); the tuned run is the one results/ commits.
+// Every run must conserve every request: the process exits 1 when any row
+// of either section lost or duplicated one.
 //
 // Flags (bench_util): --scale=F --days=F --seed=N --graph=NAME --smoke
 // --csv-dir=PATH --trace=PATH --timeseries=PATH (telemetry export from the
 // spsc+epoch payload-off fabric-comparison run) --shards=A,B,C (replaces
-// the power-of-two sweep) --queue-depth=N --batch-size=N --pin
-// --batched=0|1 --drain=epoch|eager (RuntimeConfig overrides) and --tune
-// (run one configuration, print one parsable "TUNE,..." line — the
-// scripts/tune_runtime.py contract). Extra environment knob:
-// RUNTIME_MAX_SHARDS caps the default sweep.
+// the power-of-two sweep) and the sweep's RuntimeConfig overrides
+// --queue-depth=N --batch-size=N --pin --batched=0|1 --drain=epoch|eager,
+// which keep CPU placement and the single-op drain measurable against the
+// defaults. Extra environment knob: RUNTIME_MAX_SHARDS caps the default
+// sweep.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -77,8 +73,8 @@ std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
 }
 
 // Applies the command-line RuntimeConfig overrides (zero / -1 / empty mean
-// "keep the config's value") — the knobs scripts/tune_runtime.py sweeps.
-void ApplyTuningFlags(const BenchArgs& args, rt::RuntimeConfig* rt_config) {
+// "keep the config's value") to a sweep run.
+void ApplyConfigFlags(const BenchArgs& args, rt::RuntimeConfig* rt_config) {
   if (args.queue_depth != 0) rt_config->queue_depth = args.queue_depth;
   if (args.batch_size != 0) rt_config->batch_size = args.batch_size;
   if (args.batched != -1) rt_config->batched_drain = args.batched == 1;
@@ -195,7 +191,8 @@ void AppendCsv(const char* section, const char* workload, const char* mode,
   csv->append(common::TablePrinter::Fmt(row.fresh_p99_us, 1)).append("\n");
 }
 
-void PrintSweep(const char* workload, const char* mode,
+// Prints one sweep; returns whether every row conserved.
+bool PrintSweep(const char* workload, const char* mode,
                 const std::vector<RunRow>& rows, std::string* csv) {
   std::printf("-- %s workload, %s engine --\n", workload, mode);
   common::TablePrinter table({"shards", "ops/sec", "speedup vs 1", "balance",
@@ -212,6 +209,8 @@ void PrintSweep(const char* workload, const char* mode,
     AppendCsv("sweep", workload, mode, row, csv);
   }
   table.Print();
+  return std::all_of(rows.begin(), rows.end(),
+                     [](const RunRow& row) { return row.conserved; });
 }
 
 std::vector<RunRow> RunSweep(WorkloadCase wc,
@@ -220,7 +219,7 @@ std::vector<RunRow> RunSweep(WorkloadCase wc,
   for (std::uint32_t shards : sweep) {
     rt::RuntimeConfig rt_config;
     rt_config.num_shards = shards;
-    ApplyTuningFlags(*wc.args, &rt_config);
+    ApplyConfigFlags(*wc.args, &rt_config);
     double balance = 1.0;
     RunRow row = RunOnce(wc, rt_config, &balance);
     row.balance = balance;
@@ -233,8 +232,8 @@ std::vector<RunRow> RunSweep(WorkloadCase wc,
 
 // The fixed-shard fabric comparison: transports x drain policies, payload
 // off/on. The first row (mutex+epoch, the original path) is the speedup
-// baseline.
-void RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
+// baseline. Returns whether every row conserved.
+bool RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
                          std::string* csv) {
   struct Config {
     rt::FabricTransport transport;
@@ -251,6 +250,7 @@ void RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
   common::TablePrinter table({"fabric", "payload", "ops/sec", "speedup",
                               "p50_us", "p99_us", "p999_us", "fresh_p99_us"});
   double baseline = 0;
+  bool conserved = true;
   for (const bool payload : {false, true}) {
     wc.payload = payload;
     for (const Config& c : configs) {
@@ -278,89 +278,11 @@ void RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
                     common::TablePrinter::Fmt(row.completion.p999_us, 1),
                     common::TablePrinter::Fmt(row.fresh_p99_us, 1)});
       AppendCsv("fabric4", "synthetic", "static", row, csv);
+      conserved = conserved && row.conserved;
     }
   }
   table.Print();
-}
-
-// --tune: one configuration, one machine-readable line. The line is the
-// contract scripts/tune_runtime.py parses:
-//   TUNE,shards,queue_depth,batch_size,drain,pinned,batched,ops_per_sec,
-//   p50_us,p99_us,conserved
-// Exit code reflects the conservation verdict so the harness can reject a
-// configuration that lost work outright.
-int RunTuneMode(const WorkloadCase& wc, const BenchArgs& args) {
-  rt::RuntimeConfig rt_config;
-  rt_config.num_shards = args.shards.empty() ? 16 : args.shards.front();
-  ApplyTuningFlags(args, &rt_config);
-  const RunRow row = RunOnce(wc, rt_config);
-  std::printf("TUNE,%u,%u,%u,%s,%d,%d,%.1f,%.1f,%.1f,%d\n", row.shards,
-              row.queue_depth, row.batch_size, DrainName(row.drain),
-              row.pinned ? 1 : 0, row.batched ? 1 : 0, row.ops_per_sec,
-              row.completion.p50_us, row.completion.p99_us,
-              row.conserved ? 1 : 0);
-  return row.conserved ? 0 : 1;
-}
-
-// The high-shard-count showdown: pre-PR defaults (queue_depth=64,
-// batch_size=128, single-op drains, unpinned) vs the tuned fast path (the
-// committed swept defaults, batched drains, pinned + first-touched
-// workers), both spsc+epoch so results are bit-comparable. Returns false
-// when either run failed conservation.
-bool RunTunedComparison(WorkloadCase wc, std::uint32_t shards,
-                        std::string* csv) {
-  rt::RuntimeConfig before;  // the pre-PR configuration, frozen
-  before.num_shards = shards;
-  before.queue_depth = 64;
-  before.batch_size = 128;
-  before.batched_drain = false;
-
-  rt::RuntimeConfig tuned;  // today's committed defaults + placement
-  tuned.num_shards = shards;
-  tuned.placement.pin_threads = true;
-  tuned.placement.first_touch = true;
-
-  std::printf("-- tuned defaults vs pre-PR defaults: %u shards, synthetic "
-              "workload, static engine --\n", shards);
-  common::TablePrinter table({"config", "qd", "batch", "pin", "batched",
-                              "ops/sec", "speedup", "p50_us", "p99_us",
-                              "conserved"});
-  bool all_conserved = true;
-  double baseline = 0;
-  for (const auto& [label, rt_config] :
-       {std::pair<const char*, rt::RuntimeConfig>{"pre-PR default", before},
-        {"tuned", tuned}}) {
-    // Median-ops of three runs: a single run on an oversubscribed host can
-    // swing ±10% on scheduler luck; the comparison should not.
-    std::vector<RunRow> trials;
-    for (int t = 0; t < 3; ++t) trials.push_back(RunOnce(wc, rt_config));
-    std::sort(trials.begin(), trials.end(),
-              [](const RunRow& a, const RunRow& b) {
-                return a.ops_per_sec < b.ops_per_sec;
-              });
-    RunRow row = trials[1];
-    row.conserved =
-        trials[0].conserved && trials[1].conserved && trials[2].conserved;
-    row.label = label;
-    if (baseline == 0) baseline = row.ops_per_sec;
-    row.speedup = baseline > 0 ? row.ops_per_sec / baseline : 1.0;
-    all_conserved = all_conserved && row.conserved;
-    table.AddRow({row.label, std::to_string(row.queue_depth),
-                  std::to_string(row.batch_size), row.pinned ? "on" : "off",
-                  row.batched ? "on" : "off",
-                  common::TablePrinter::Fmt(row.ops_per_sec, 0),
-                  common::TablePrinter::Fmt(row.speedup, 2),
-                  common::TablePrinter::Fmt(row.completion.p50_us, 1),
-                  common::TablePrinter::Fmt(row.completion.p99_us, 1),
-                  row.conserved ? "yes" : "NO"});
-    AppendCsv("tuned16", "synthetic", "static", row, csv);
-  }
-  table.Print();
-  if (!all_conserved) {
-    std::fprintf(stderr, "CONSERVATION FAILED: a run lost or duplicated "
-                         "requests\n");
-  }
-  return all_conserved;
+  return conserved;
 }
 
 }  // namespace
@@ -369,14 +291,6 @@ int main(int argc, char** argv) {
   BenchArgs args = bench::ParseArgs(argc, argv);
   bench::ApplySmoke(args);
   const std::vector<std::uint32_t> sweep = ShardSweep(args);
-  if (args.tune) {
-    // One configuration, one parsable line, no sweeps: the harness mode.
-    const auto g = bench::MakeGraph(args.graph, args);
-    const auto log = bench::MakeSyntheticLog(g, args);
-    const WorkloadCase wc{&g, &log, {}, /*adaptive=*/false,
-                          /*payload=*/false, nullptr, &args};
-    return RunTuneMode(wc, args);
-  }
   const unsigned hc = std::thread::hardware_concurrency();
   std::printf("== Runtime throughput: shard sweep 1..%u "
               "(hardware_concurrency=%u, scale=%g, days=%g) ==\n",
@@ -411,25 +325,28 @@ int main(int argc, char** argv) {
     return WorkloadCase{&g, &log, fl, adaptive, /*payload=*/false, &persist,
                         &args};
   };
-  PrintSweep("synthetic", "static", RunSweep(sweep_case({}, false), sweep),
-             &csv);
+  bool conserved = true;
+  conserved &= PrintSweep("synthetic", "static",
+                          RunSweep(sweep_case({}, false), sweep), &csv);
   std::printf("\n");
-  PrintSweep("synthetic", "adaptive", RunSweep(sweep_case({}, true), sweep),
-             &csv);
+  conserved &= PrintSweep("synthetic", "adaptive",
+                          RunSweep(sweep_case({}, true), sweep), &csv);
   std::printf("\n");
-  PrintSweep("flash", "static", RunSweep(sweep_case(flash_events, false), sweep),
-             &csv);
+  conserved &= PrintSweep("flash", "static",
+                          RunSweep(sweep_case(flash_events, false), sweep),
+                          &csv);
   std::printf("\n");
-  PrintSweep("flash", "adaptive",
-             RunSweep(sweep_case(flash_events, true), sweep), &csv);
+  conserved &= PrintSweep("flash", "adaptive",
+                          RunSweep(sweep_case(flash_events, true), sweep),
+                          &csv);
   std::printf("\n");
 
-  RunFabricComparison(sweep_case({}, false), /*shards=*/4, &csv);
-  std::printf("\n");
-
-  const bool conserved =
-      RunTunedComparison(sweep_case({}, false), /*shards=*/16, &csv);
+  conserved &= RunFabricComparison(sweep_case({}, false), /*shards=*/4, &csv);
 
   bench::SaveCsv(args, "runtime_throughput", csv);
+  if (!conserved) {
+    std::fprintf(stderr, "CONSERVATION FAILED: a run lost or duplicated "
+                         "requests\n");
+  }
   return conserved ? 0 : 1;
 }

@@ -51,8 +51,6 @@ BenchArgs ParseArgs(int argc, char** argv) {
       args.smoke = true;
     } else if (arg == "--pin") {
       args.pin = true;
-    } else if (arg == "--tune") {
-      args.tune = true;
     } else if (ConsumeFlag(arg, "--queue-depth=", value)) {
       args.queue_depth =
           static_cast<std::uint32_t>(std::atoi(std::string(value).c_str()));

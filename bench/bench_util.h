@@ -39,7 +39,7 @@ struct BenchArgs {
   std::string trace_path;
   std::string timeseries_path;
 
-  // Runtime tuning knobs (bench_runtime_throughput). --shards=A,B,C
+  // Runtime config overrides (bench_runtime_throughput). --shards=A,B,C
   // replaces the default power-of-two shard sweep; the remaining flags
   // override the corresponding RuntimeConfig fields wherever the bench
   // honors them (0 / -1 / empty mean "keep the config's default").
@@ -49,10 +49,6 @@ struct BenchArgs {
   bool pin = false;                // --pin: pin_threads + first_touch
   int batched = -1;                // --batched=0|1: batched_drain
   std::string drain;               // --drain=epoch|eager
-  // --tune: run exactly one configuration (the first --shards entry) and
-  // print one machine-readable "TUNE,..." line — the contract
-  // scripts/tune_runtime.py drives sweeps through.
-  bool tune = false;
 
   // Serving-tier knobs (bench_server_loopback). --port=N binds the server
   // to a fixed port (0 keeps the kernel-chosen ephemeral default);
@@ -65,7 +61,7 @@ struct BenchArgs {
 // Recognized flags: --scale=F --days=F --seed=N --graph=NAME --trials=N
 // --points=A,B,C --all-graphs --smoke --csv-dir=PATH --trace=PATH
 // --timeseries=PATH --shards=A,B,C --queue-depth=N --batch-size=N --pin
-// --batched=0|1 --drain=epoch|eager --tune --port=N --connections=N.
+// --batched=0|1 --drain=epoch|eager --port=N --connections=N.
 // Environment variable REPRO_SCALE overrides --scale when set.
 BenchArgs ParseArgs(int argc, char** argv);
 

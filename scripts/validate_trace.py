@@ -15,8 +15,7 @@ Perfetto / chrome://tracing and internally consistent:
     instrumentation (the runtime's span sites are properly bracketed)
 
 With --expect-resize it additionally requires the trace to contain at
-least one reconfiguration event (reconfigure / begin_reconfigure /
-step_migration) AND at least one scaler_decision instant — the CI contract
+least one reconfiguration event (begin_reconfigure / step_migration) AND at least one scaler_decision instant — the CI contract
 for the committed flash-crowd trace in results/. With --expect-fault it
 requires the full fault lifecycle instead: a fault instant, a failover
 span, at least one rebuild_step span, and a rebuild_complete instant, in
@@ -36,7 +35,7 @@ import sys
 SPAN = "X"
 INSTANT = "i"
 METADATA = "M"
-RESIZE_NAMES = {"reconfigure", "begin_reconfigure", "step_migration"}
+RESIZE_NAMES = {"begin_reconfigure", "step_migration"}
 FAULT_NAMES = {"fault", "failover", "rebuild_step", "rebuild_complete"}
 
 
@@ -126,8 +125,8 @@ def check_tracks(real, problems):
 def check_resize(real, problems):
     names = {e["name"] for e in real}
     if not names & RESIZE_NAMES:
-        problems.append("--expect-resize: no reconfigure / begin_reconfigure "
-                        "/ step_migration event in the trace")
+        problems.append("--expect-resize: no begin_reconfigure / "
+                        "step_migration event in the trace")
     if "scaler_decision" not in names:
         problems.append("--expect-resize: no scaler_decision instant "
                         "in the trace")

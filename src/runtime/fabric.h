@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -76,14 +75,6 @@ class Fabric {
   virtual bool TrySend(std::uint32_t src, std::uint32_t dst,
                        WireBatch& batch) = 0;
 
-  // Producer side, batched: moves as many leading elements of `batches` as
-  // currently fit onto the channel under one synchronized publish (one
-  // release fence on the SPSC transport, one lock acquisition on the mutex
-  // transport) and returns the number sent. The unsent suffix is left
-  // intact for retry.
-  virtual std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
-                                   std::span<WireBatch> batches) = 0;
-
   // Consumer side: only shard `dst` may receive on (*, dst) channels.
   virtual std::optional<WireBatch> TryRecv(std::uint32_t src,
                                            std::uint32_t dst) = 0;
@@ -121,8 +112,6 @@ class Fabric {
   // The shard count this fabric was built for — immutable for the fabric's
   // lifetime (see the reconfiguration note above).
   virtual std::uint32_t num_shards() const = 0;
-
-  virtual const char* name() const = 0;
 };
 
 // Builds a fabric for `num_shards` shards whose channels hold at least

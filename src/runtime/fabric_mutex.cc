@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,19 +30,6 @@ class MutexFabric final : public Fabric {
     if (ch.batches.size() >= capacity_) return false;
     ch.batches.push_back(std::move(batch));
     return true;
-  }
-
-  std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
-                           std::span<WireBatch> batches) override {
-    Channel& ch = at(src, dst);
-    std::lock_guard lock(ch.mutex);
-    const std::size_t free =
-        capacity_ - std::min(capacity_, ch.batches.size());
-    const std::size_t n = std::min(batches.size(), free);
-    for (std::size_t i = 0; i < n; ++i) {
-      ch.batches.push_back(std::move(batches[i]));
-    }
-    return n;
   }
 
   std::optional<WireBatch> TryRecv(std::uint32_t src,
@@ -84,8 +70,6 @@ class MutexFabric final : public Fabric {
   }
 
   std::uint32_t num_shards() const override { return num_shards_; }
-
-  const char* name() const override { return "mutex"; }
 
  private:
   struct Channel {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "runtime/fabric.h"
@@ -29,11 +28,6 @@ class SpscFabric final : public Fabric {
   bool TrySend(std::uint32_t src, std::uint32_t dst,
                WireBatch& batch) override {
     return at(src, dst).TryPush(batch);
-  }
-
-  std::size_t TrySendBatch(std::uint32_t src, std::uint32_t dst,
-                           std::span<WireBatch> batches) override {
-    return at(src, dst).TryPushBatch(batches);
   }
 
   std::optional<WireBatch> TryRecv(std::uint32_t src,
@@ -64,8 +58,6 @@ class SpscFabric final : public Fabric {
   }
 
   std::uint32_t num_shards() const override { return num_shards_; }
-
-  const char* name() const override { return "spsc"; }
 
  private:
   SpscRing<WireBatch>& at(std::uint32_t src, std::uint32_t dst) {

@@ -319,14 +319,17 @@ struct RuntimeConfig {
   // sizes the fabric's per-channel capacity: the epoch protocol fully
   // drains every channel while producers are quiescent, so queue_depth + 2
   // batches per channel never blocks an epoch-boundary flush. Valid range:
-  // >= 1 (see Validate). Default chosen by scripts/tune_runtime.py from
-  // the committed results/tune_runtime.csv sweep (16 shards, epoch drain).
+  // >= 1 (see Validate). The default is kept from an earlier 16-shard
+  // sweep on a 1-CPU host that found no gain over the previous 64; no value
+  // has since been measured faster. bench_runtime_throughput --queue-depth
+  // measures another one.
   std::uint32_t queue_depth = 256;
 
   // Requests per task batch pushed into a shard queue. Batching amortizes
   // the queue handoff; the engine work per request dwarfs it at this size.
-  // Valid range: >= 1 (see Validate). Default swept alongside queue_depth
-  // (see results/tune_runtime.csv).
+  // Valid range: >= 1 (see Validate). Default kept from the same sweep as
+  // queue_depth's (previously 128); bench_runtime_throughput --batch-size
+  // measures another value.
   std::uint32_t batch_size = 256;
 
   // Epoch length in simulated seconds: cross-shard channels are fully
@@ -381,15 +384,16 @@ struct RuntimeConfig {
   static constexpr std::uint64_t kMaxTunedStalenessMicros = 1'000'000;
 
   // Incremental view migration: how many views a reconfiguration hands
-  // over per epoch boundary. 0 (the default) migrates every owner-changing
-  // view in the triggering boundary's single quiesced pause; a positive
+  // over per epoch boundary. 0 (the default) makes the migration window's
+  // first batch the whole ledger, so every owner-changing view moves in
+  // the triggering boundary's single quiesced pause; a positive
   // value spreads the hand-off over ceil(changed / migration_batch)
   // consecutive boundaries, bounding each pause to O(migration_batch) view
   // exports/imports — during the window the ShardMap routes dual-ownership
   // (migrated views to the new owner, pending views to the old; see
   // shard_map.h). Only applies to resizes requested while a run is in
   // progress: between runs there are no boundaries to spread over, so the
-  // hand-off is always a single step. Valid range: any.
+  // window always closes in one step. Valid range: any.
   std::uint32_t migration_batch = 0;
 
   // Shard replication + online rebuild; disabled by default (see

@@ -289,7 +289,7 @@ void ShardedRuntime::Reconfigure(std::uint32_t new_shard_count) {
     // An aborted run may have left a migration window open; close it first
     // (one step — there is no serving to pause between runs), then apply.
     if (migration_.has_value()) FinishMigrationNow();
-    ApplyReconfigure(new_shard_count, /*epoch_end=*/0);
+    BeginReconfigure(new_shard_count, /*epoch_end=*/0, /*batch=*/0);
   }
 }
 
@@ -340,123 +340,21 @@ void ShardedRuntime::RetireShard(Shard& shard) {
   retired_.Fold(shard);
 }
 
-void ShardedRuntime::ApplyReconfigure(std::uint32_t new_count,
-                                      SimTime epoch_end) {
+// ----- Resize: a migration window, stepped in batches or closed at once -----
+
+void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
+                                      SimTime epoch_end, std::uint64_t batch) {
   const std::uint32_t old_n = map_.num_shards();
   if (new_count == old_n) return;
   // Any resize imports view state, so a later placement pass must never
   // rebuild engines from the initial placement again.
   engines_pristine_ = false;
-  const std::uint64_t t0 = NowNs();
-  ShardMap new_map(new_count, graph_->num_users(), config_.sharding);
-  // Build the replacement communication plane up front: with the fabric
-  // and the new shard engines (below) allocated before the commit point,
-  // an allocation failure unwinds before any ownership changes hands.
-  auto new_fabric =
-      MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
-
-  // Split: build the new shards first so every new owner's engine exists
-  // before the hand-off. Their maintenance slot is seeded from a surviving
-  // engine (ticks are broadcast, so all engines agree on the slot).
-  const std::uint32_t slot = shards_.front()->engine->current_slot();
-  std::uint64_t migrated = 0;
-  try {
-    for (std::uint32_t s = old_n; s < new_count; ++s) {
-      shards_.push_back(MakeShard(s));
-      shards_.back()->engine->SeedSlot(slot);
-    }
-
-    // Hand authority for every view whose owner changes to the new owner's
-    // engine. The old owner keeps a frozen copy, exactly like any non-owned
-    // view under static sharding.
-    for (ViewId v = 0; v < graph_->num_users(); ++v) {
-      const std::uint32_t a = map_.shard_of(v);
-      const std::uint32_t b = new_map.shard_of(v);
-      if (a == b) continue;
-      shards_[b]->engine->ImportViewState(
-          shards_[a]->engine->ExportViewState(v));
-      ++migrated;
-    }
-  } catch (...) {
-    // Unwind to a safe state: drop any shards this resize added. Imports
-    // that already landed need no undo — exports never mutate the source
-    // engine and ownership (map_, committed below) is unchanged, so a
-    // *surviving* engine that imported state merely holds a fresher
-    // non-authoritative copy of a view it still does not own (the same
-    // class of staleness as any non-owned view), while copies imported
-    // into the dropped new shards vanish with them.
-    while (shards_.size() > old_n) shards_.pop_back();
-    throw;
-  }
-
-  // Commit point: from here on only small bookkeeping allocations remain
-  // and the new topology is internally consistent at every step.
-  map_ = std::move(new_map);
-  replicate_writes_ =
-      new_count > 1 && engine_config_.store.payload_mode;
-  InstallMaintenanceOwners();
-  // Rewire the communication plane to the new shard set. Every channel is
-  // empty here (the boundary drain ran while producers were quiescent) and
-  // every outbox was flushed, so nothing in flight is lost.
-  fabric_ = std::move(new_fabric);
-  for (auto& shard : shards_) shard->outbox.assign(new_count, Outbox{});
-
-  // Merge: retire surplus shards — after the commit, so the map never names
-  // engines that no longer exist. Their counters, traffic and histograms
-  // move into the retained accumulators (so merged results keep conserving)
-  // and their workers shut down; surviving workers are untouched.
-  try {
-    while (shards_.size() > new_count) {
-      RetireShard(*shards_.back());
-      shards_.pop_back();
-    }
-  } catch (...) {
-    // A failed fold can no longer conserve (the throwing shard's counters
-    // may be half-merged), but the topology invariant — shards_.size() ==
-    // map_.num_shards() == fabric_->num_shards() — must hold or the next
-    // Run's surplus workers would index the smaller fabric out of bounds.
-    // Drop the remaining surplus without folding, releasing each worker
-    // through the non-allocating queue-close path.
-    while (shards_.size() > new_count) {
-      Shard& doomed = *shards_.back();
-      doomed.tasks.Close();
-      if (doomed.worker.joinable()) doomed.worker.join();
-      shards_.pop_back();
-    }
-    throw;
-  }
-  WireTelemetryTracks();
-  // Rewire the fault-tolerance control plane to the new shard set: all-UP
-  // and (for the replicator) all-fresh — the documented resize
-  // approximation, exact under payload coherence where every peer holds
-  // every payload (docs/fault_tolerance.md).
-  health_.Resize(new_count);
-  if (replicator_ != nullptr) replicator_->Rebase(new_count);
-  ReconfigEvent event;
-  event.epoch_end = epoch_end;
-  event.from_shards = old_n;
-  event.to_shards = new_count;
-  event.views_migrated = migrated;
-  event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kReconfigure, t0);
   // The old per-shard baselines no longer describe this shard set; the
-  // next boundary rebases instead of observing (a retired-then-respawned
-  // shard id must not inherit its predecessor's cumulative stats).
+  // next boundary observation rebases instead (a retired-then-respawned
+  // shard id must not inherit its predecessor's cumulative stats, which a
+  // between-runs round trip such as 4 -> 2 -> 4 would otherwise pair it
+  // with). A window that stays open skips those observations anyway.
   scaler_baseline_.clear();
-}
-
-// ----- Incremental migration (bounded batches per epoch boundary) -----
-
-void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
-                                      SimTime epoch_end) {
-  const std::uint32_t old_n = map_.num_shards();
-  if (new_count == old_n) return;
-  const std::uint32_t batch = config_.migration_batch;
-  if (batch == 0) {
-    ApplyReconfigure(new_count, epoch_end);
-    return;
-  }
-  engines_pristine_ = false;  // the window below imports view state
 
   const std::uint64_t t0 = NowNs();
   ShardMap target(new_count, graph_->num_users(), config_.sharding);
@@ -515,17 +413,20 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
   InstallMaintenanceOwners();
   WireTelemetryTracks();
   // The window's live domain is the larger shard set; backups reassign over
-  // it for the window's duration (all-UP, all-fresh — see the resize note
-  // in ApplyReconfigure).
+  // it for the window's duration — all-UP and (for the replicator)
+  // all-fresh, the documented resize approximation, exact under payload
+  // coherence where every peer holds every payload
+  // (docs/fault_tolerance.md).
   health_.Resize(live);
   if (replicator_ != nullptr) replicator_->Rebase(live);
 
   const std::uint64_t migrated = MigrateNextBatch(batch);
   const std::uint64_t pending =
       migration_->ledger->size() - migration_->next;
-  // A ledger that fit one batch opens and closes its window at this same
-  // boundary: one event, no dual-ownership epoch, and the ledger scan
-  // above is part of the reported pause exactly once.
+  // A ledger that fit one batch (always, for batch == 0) opens and closes
+  // its window in this same pause: one event with views_pending == 0, no
+  // dual-ownership epoch, and the ledger scan above is part of the reported
+  // pause exactly once.
   if (pending == 0) CompleteMigration();
   ReconfigEvent event;
   event.epoch_end = epoch_end;
@@ -543,7 +444,9 @@ std::uint64_t ShardedRuntime::MigrateNextBatch(std::uint64_t batch) {
   const ShardMap::PendingLedger& ledger = *w.ledger;
   const std::size_t begin = w.next;
   const std::size_t end =
-      std::min(ledger.size(), begin + static_cast<std::size_t>(batch));
+      batch == 0 ? ledger.size()
+                 : std::min(ledger.size(),
+                            begin + static_cast<std::size_t>(batch));
 
   // Group the batch by (exporter, importer) pair and hand each group over
   // through the engines' batched snapshot API. The exporter is the view's
@@ -577,8 +480,9 @@ void ShardedRuntime::CompleteMigration() {
   assert(w.next == w.ledger->size() && "completion requires an empty ledger");
   const std::uint32_t new_count = w.to_shards;
 
-  // Mirror ApplyReconfigure's commit order: fabric allocated up front, map
-  // committed before surplus shards disappear, retirement last.
+  // Commit order: the fabric is allocated up front (an allocation failure
+  // unwinds before ownership changes), the map is committed before surplus
+  // shards disappear, retirement last.
   std::unique_ptr<Fabric> new_fabric;
   if (new_count < w.from_shards) {
     new_fabric =
@@ -596,8 +500,12 @@ void ShardedRuntime::CompleteMigration() {
         shards_.pop_back();
       }
     } catch (...) {
-      // Same reasoning as ApplyReconfigure's merge unwind: conservation is
-      // already lost, but the shards/map/fabric size invariant must hold.
+      // A failed fold can no longer conserve (the throwing shard's counters
+      // may be half-merged), but the topology invariant — shards_.size() ==
+      // map_.num_shards() == fabric_->num_shards() — must hold or the next
+      // Run's surplus workers would index the smaller fabric out of bounds.
+      // Drop the remaining surplus without folding, releasing each worker
+      // through the non-allocating queue-close path.
       while (shards_.size() > new_count) {
         Shard& doomed = *shards_.back();
         doomed.tasks.Close();
@@ -610,7 +518,7 @@ void ShardedRuntime::CompleteMigration() {
   }
   health_.Resize(new_count);
   if (replicator_ != nullptr) replicator_->Rebase(new_count);
-  // No baseline clear here, unlike ApplyReconfigure: a split window's
+  // No baseline clear here, unlike BeginReconfigure: a split window's
   // completion leaves the shard set exactly as it has been since the
   // window opened (so the boundary-maintained baseline is still a valid
   // pairing), and a merge completion changes the set's size, which forces
@@ -637,11 +545,11 @@ void ShardedRuntime::EmitMigrationComplete(std::uint32_t from_shards,
   telemetry_->dispatcher_track()->Emit(e);
 }
 
-void ShardedRuntime::StepMigration(SimTime epoch_end) {
+void ShardedRuntime::StepMigration(SimTime epoch_end, std::uint64_t batch) {
   const std::uint64_t t0 = NowNs();
   const std::uint32_t from = migration_->from_shards;
   const std::uint32_t to = migration_->to_shards;
-  const std::uint64_t migrated = MigrateNextBatch(config_.migration_batch);
+  const std::uint64_t migrated = MigrateNextBatch(batch);
   const std::uint64_t pending = migration_->ledger->size() - migration_->next;
   if (pending == 0) CompleteMigration();
   ReconfigEvent event;
@@ -656,19 +564,7 @@ void ShardedRuntime::StepMigration(SimTime epoch_end) {
 }
 
 void ShardedRuntime::FinishMigrationNow() {
-  const std::uint32_t from = migration_->from_shards;
-  const std::uint32_t to = migration_->to_shards;
-  const std::uint64_t t0 = NowNs();
-  const std::uint64_t migrated =
-      MigrateNextBatch(migration_->ledger->size() - migration_->next);
-  CompleteMigration();
-  ReconfigEvent event;
-  event.from_shards = from;
-  event.to_shards = to;
-  event.views_migrated = migrated;
-  event.pause_ns = NowNs() - t0;
-  AppendReconfigEvent(event, TraceEventType::kStepMigration, t0);
-  EmitMigrationComplete(from, to);
+  StepMigration(/*epoch_end=*/0, /*batch=*/0);
 }
 
 void ShardedRuntime::JoinCompletionsAtBoundary() {
@@ -2039,9 +1935,9 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
 
     if (threaded) {
       // One arrival per boundary task pushed below. shards_.size() == n on
-      // every path (ApplyReconfigure restores the invariant even when it
-      // unwinds), but deriving the count from the same container the push
-      // loops iterate keeps the barrier matched by construction.
+      // every path (a resize restores the invariant even when it unwinds),
+      // but deriving the count from the same container the push loops
+      // iterate keeps the barrier matched by construction.
       const auto arrivals = static_cast<std::uint32_t>(shards_.size());
       for (auto& shard : shards_) {
         Task task;
@@ -2147,7 +2043,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       // every one after, until the windows drain.
       stepped_rebuilds = StepRebuilds(epoch_end);
     } else if (migration_.has_value()) {
-      StepMigration(epoch_end);
+      StepMigration(epoch_end, config_.migration_batch);
       n = map_.num_shards();
       staging.resize(n);  // all staged batches were flushed pre-boundary
       backlog_sum.resize(n);  // and the queue samples folded above
@@ -2156,7 +2052,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
       // nothing ran since the sample above, so no activity is lost.
       ResetTelemetryBaselines();
     } else if (pending != 0 && pending != n) {
-      BeginReconfigure(pending, epoch_end);
+      BeginReconfigure(pending, epoch_end, config_.migration_batch);
       n = map_.num_shards();
       staging.resize(n);
       backlog_sum.resize(n);
@@ -2205,7 +2101,7 @@ RuntimeResult ShardedRuntime::Run(const wl::RequestLog& log,
     const std::uint32_t leftover = pending_shards_;
     pending_shards_ = 0;
     if (leftover != 0) {
-      ApplyReconfigure(leftover, /*epoch_end=*/0);
+      BeginReconfigure(leftover, /*epoch_end=*/0, /*batch=*/0);
     }
   }
   return result;

@@ -38,11 +38,12 @@
 // are spawned (split) or surplus shards retired (merge, their counters and
 // histograms folded into retained accumulators so merged totals keep
 // conserving), every view whose owner changes hands over its engine state
-// (Engine::ExportViewState/ImportViewState), the per-(source, destination)
+// (Engine::ExportViewStates/ImportViewStates), the per-(source, destination)
 // fabric is rebuilt for the new shard set, and the run resumes — surviving
 // worker threads are never restarted and no request is dropped.
 //
-// With RuntimeConfig::migration_batch set, the hand-off is *incremental*:
+// The hand-off is a migration window. By default it opens and closes in
+// one pause; with RuntimeConfig::migration_batch set it is *incremental*:
 // each boundary migrates at most migration_batch views and installs a
 // transition ShardMap that routes migrated views to their new owner and
 // pending views to their old one (dual ownership, see shard_map.h), so the
@@ -212,15 +213,16 @@ struct LatencyPercentiles {
 
 LatencyPercentiles SummarizeLatency(const common::LatencyHistogram& h);
 
-// One reconfiguration step (RuntimeResult::reconfig_events). A single-pause
-// resize (RuntimeConfig::migration_batch == 0, or a between-runs apply)
-// produces exactly one event covering the whole hand-off. An incremental
-// resize produces one event per epoch boundary that migrated a batch —
-// from_shards/to_shards repeat the overall old/new counts on every step,
-// views_migrated counts only that step's batch, and views_pending says how
-// many are still awaiting hand-off afterwards, so the final step of the
-// window is the event with views_pending == 0 (it also carries the
-// completion work: retiring surplus shards and rebuilding the fabric).
+// One reconfiguration step (RuntimeResult::reconfig_events). Every resize
+// is a migration window, and each pause that migrated views records one
+// event: from_shards/to_shards repeat the overall old/new counts on every
+// step, views_migrated counts only that step's batch, and views_pending
+// says how many are still awaiting hand-off afterwards, so the final step
+// of the window is the event with views_pending == 0 (it also carries the
+// completion work: retiring surplus shards and rebuilding the fabric). A
+// window closed in one pause (RuntimeConfig::migration_batch == 0, a
+// between-runs apply, or a ledger that fit one batch) produces exactly one
+// event, with views_pending == 0, covering the whole hand-off.
 //
 // Written by the dispatcher thread at quiescent points only; a run's result
 // copies the accumulated list, so events are plain values thereafter.
@@ -690,20 +692,20 @@ class ShardedRuntime {
   // Folds a retiring shard's counters, stats, traffic and histograms into
   // the retained accumulators and shuts down its worker if one is running.
   void RetireShard(Shard& shard);
-  // Applies a shard-count change in one quiesced pause. Epoch-boundary
-  // only: every worker must be quiescent and every fabric channel empty
-  // (or no run in progress).
-  void ApplyReconfigure(std::uint32_t new_count, SimTime epoch_end);
 
-  // ----- Incremental migration (RuntimeConfig::migration_batch > 0) -----
+  // ----- Resize: one migration window per shard-count change -----
   //
-  // All three run on the dispatcher thread at quiescent points. Begin
-  // decides between the single-pause path and opening a migration window
-  // (ledger of owner-changing views + transition map); Step migrates the
-  // next batch at each subsequent boundary and closes the window after the
-  // last one (merge: retire surplus shards, rebuild the fabric); Finish
-  // drains every remaining batch in one step — the between-runs path for a
-  // window an aborted run left open.
+  // Every resize runs on the dispatcher thread at a quiescent point (every
+  // worker parked, every fabric channel empty, or no run in progress).
+  // Begin opens a migration window (ledger of owner-changing views +
+  // transition map) and migrates the first `batch` views; Step migrates the
+  // next batch at each subsequent boundary; the batch that empties the
+  // ledger closes the window (merge: retire surplus shards, rebuild the
+  // fabric). batch == 0 means the whole ledger, so the window opens and
+  // closes in one pause — RuntimeConfig::migration_batch == 0, a
+  // between-runs Reconfigure, and a request left over at run end. Finish
+  // is Step with batch == 0: it closes an open window at once, for a kill
+  // or a between-runs resize that lands inside one.
 
   // One in-flight incremental resize; at most one exists at a time.
   struct MigrationWindow {
@@ -718,11 +720,13 @@ class ShardedRuntime {
     std::size_t next = 0;
   };
 
-  void BeginReconfigure(std::uint32_t new_count, SimTime epoch_end);
-  void StepMigration(SimTime epoch_end);
+  void BeginReconfigure(std::uint32_t new_count, SimTime epoch_end,
+                        std::uint64_t batch);
+  void StepMigration(SimTime epoch_end, std::uint64_t batch);
   void FinishMigrationNow();
-  // Migrates ledger entries [window.next, window.next + batch) and installs
-  // the matching transition (or final) map; returns the views handed over.
+  // Migrates ledger entries [window.next, window.next + batch) — the rest
+  // of the ledger when batch == 0 — and installs the matching transition
+  // map while views remain; returns the views handed over.
   std::uint64_t MigrateNextBatch(std::uint64_t batch);
   // Tears down the window after the last batch: retires surplus shards,
   // rebuilds the fabric for the target count, restores the pure map.

@@ -562,6 +562,39 @@ TEST(RuntimeAutoScaleTest, BetweenRunsReconfigureIsAlwaysSingleStep) {
   EXPECT_EQ(result.reconfig_events.front().views_pending, 0u);
 }
 
+// A between-runs round trip (4 -> 2 -> 4) ends on the shard count the
+// scaler's baseline was taken at, so only the resize's own rebase keeps the
+// next Run's first boundary from pairing shards 2 and 3 with their retired
+// predecessors' cumulative stats. Control: with no resize the baseline
+// carries across Runs and that first boundary observes.
+TEST(RuntimeAutoScaleTest, BetweenRunsRoundTripRebasesScalerBaseline) {
+  const auto g = TestGraph(400);
+  const auto log = TestLog(g, 0.5);
+  const sim::ExperimentConfig config = BaseConfig(/*adaptive=*/false);
+  const RuntimeFixture fx = MakeFixture(g, config);
+
+  RuntimeConfig rt_config;
+  rt_config.num_shards = 4;
+  rt_config.scaler.enabled = true;  // every trigger off: observe, never fire
+  // Epoch index of the second Run's first scaler observation.
+  const auto first_observed_epoch = [&](bool round_trip) {
+    ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, rt_config);
+    runtime.Run(log);
+    if (round_trip) {
+      runtime.Reconfigure(2);
+      runtime.Reconfigure(4);
+    }
+    const std::size_t before = runtime.auto_scaler()->history().size();
+    const RuntimeResult result = runtime.Run(log);
+    EXPECT_EQ(result.shard_stats.size(), 4u);
+    const auto& history = runtime.auto_scaler()->history();
+    return history.size() > before ? history[before].epoch_index
+                                   : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(first_observed_epoch(/*round_trip=*/false), 0u);
+  EXPECT_EQ(first_observed_epoch(/*round_trip=*/true), 1u);
+}
+
 TEST(RuntimeAutoScaleTest, PayloadCoherenceSurvivesIncrementalMerge) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g);

@@ -238,7 +238,7 @@ TEST(RuntimeTelemetryTest, ChromeTraceIsWellFormedAndChronological) {
   EXPECT_GE(epochs_seen, 10u);  // 12 epochs in a half-day log
   EXPECT_GE(CountEvents(snap, TraceEventType::kBatch), 1u);
   EXPECT_GE(CountEvents(snap, TraceEventType::kDrain), 1u);
-  EXPECT_EQ(CountEvents(snap, TraceEventType::kReconfigure), 1u);
+  EXPECT_EQ(CountEvents(snap, TraceEventType::kBeginReconfigure), 1u);
 
   const std::string json = ChromeTraceJson(snap);
   ExpectBalancedJson(json);
@@ -247,7 +247,7 @@ TEST(RuntimeTelemetryTest, ChromeTraceIsWellFormedAndChronological) {
   EXPECT_NE(json.find("\"dispatcher\""), std::string::npos);
   EXPECT_NE(json.find("\"shard 3\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"reconfigure\""), std::string::npos);
+  EXPECT_NE(json.find("\"begin_reconfigure\""), std::string::npos);
 }
 
 TEST(RuntimeTelemetryTest, RingDropsOldestButKeepsSequenceMonotone) {
@@ -516,6 +516,49 @@ TEST(RuntimeTelemetryTest, SecondRunContinuesSequencesAndKeepsHistory) {
   ExpectEventsOrderedAndChronological(*second.telemetry);
 }
 
+// A resize between runs has no boundaries to spread over: it is a migration
+// window opened and closed in one pause — one begin_reconfigure span with
+// nothing pending, then the complete_migration instant, and nothing else
+// resize-related on the dispatcher track in between.
+TEST(RuntimeTelemetryTest, BetweenRunsResizeIsOneStepWindow) {
+  const auto g = TestGraph(400);
+  const auto log = TestLog(g, 0.5);
+  const RuntimeFixture fx = MakeFixture(g);
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine,
+                         TelemetryConfigOn(2));
+  runtime.Run(log);
+  runtime.Reconfigure(4);
+  const RuntimeResult result = runtime.Run(log);
+
+  ASSERT_EQ(result.reconfig_events.size(), 1u);
+  const ReconfigEvent& event = result.reconfig_events.front();
+  EXPECT_EQ(event.epoch_end, 0u);
+  EXPECT_EQ(event.from_shards, 2u);
+  EXPECT_EQ(event.to_shards, 4u);
+  EXPECT_GT(event.views_migrated, 0u);
+  EXPECT_EQ(event.views_pending, 0u);
+
+  ASSERT_NE(result.telemetry, nullptr);
+  std::vector<TraceEvent> resizes;
+  for (const TraceEvent& e : result.telemetry->events) {
+    if (e.track == 0 && (e.type == TraceEventType::kBeginReconfigure ||
+                         e.type == TraceEventType::kStepMigration ||
+                         e.type == TraceEventType::kCompleteMigration)) {
+      resizes.push_back(e);
+    }
+  }
+  ASSERT_EQ(resizes.size(), 2u);
+  EXPECT_EQ(resizes[0].type, TraceEventType::kBeginReconfigure);
+  EXPECT_EQ(resizes[0].u0, 2u);
+  EXPECT_EQ(resizes[0].u1, 4u);
+  EXPECT_EQ(resizes[0].u2, event.views_migrated);
+  EXPECT_EQ(resizes[0].u3, 0u);  // views_pending
+  EXPECT_EQ(resizes[1].type, TraceEventType::kCompleteMigration);
+  EXPECT_EQ(resizes[1].seq, resizes[0].seq + 1);
+  EXPECT_EQ(resizes[1].u0, 2u);
+  EXPECT_EQ(resizes[1].u1, 4u);
+}
+
 // ----- Disabled telemetry -----
 
 TEST(RuntimeTelemetryTest, DisabledTelemetryIsNullAndBitIdentical) {
@@ -608,7 +651,7 @@ TEST(RuntimeTelemetryTest, ScalerDecisionsAppearAsInstantEvents) {
   EXPECT_GT(observations, 4u);
   EXPECT_TRUE(saw_split) << "the storm must record a split decision";
   EXPECT_TRUE(saw_merge) << "the trailing quiet must record a merge";
-  EXPECT_GE(CountEvents(snap, TraceEventType::kReconfigure), 2u);
+  EXPECT_GE(CountEvents(snap, TraceEventType::kBeginReconfigure), 2u);
   ExpectSeriesReconciles(result);
 
   const std::string json = ChromeTraceJson(snap);

@@ -1000,7 +1000,6 @@ TEST(ShardedRuntimeTest, ValidConfigReportsRoundedEpoch) {
   const ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine,
                                rt_config);
   EXPECT_EQ(runtime.epoch_seconds(), 900u);  // rounded down to a divisor
-  EXPECT_STREQ(runtime.fabric().name(), "spsc");
 }
 
 TEST(ShardedRuntimeTest, FlashOverlayConservesViewReads) {

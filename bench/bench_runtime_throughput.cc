@@ -9,29 +9,30 @@
 // maintenance runs on every shard engine and therefore scales sub-linearly
 // by design.
 //
-// A second section compares the communication plane at a fixed 4 shards:
-// the mutex transport with epoch drains (the original path), lock-free SPSC
-// rings with epoch drains (bit-identical results, cheaper handoff), and
-// SPSC rings with the eager sub-epoch drain (serves remote slices as soon
-// as they age past the staleness bound — collapsing the freshness tail the
-// epoch drain hides). Each configuration runs with the persistent store's
-// payload mode off and on, measuring the replicated-write coherence path.
+// A second section compares the drain policies at a fixed 4 shards: epoch
+// drains (deterministic) and the eager sub-epoch drain (serves remote
+// slices as soon as they age past the staleness bound — collapsing the
+// freshness tail the epoch drain hides). Each policy runs with the
+// persistent store's payload mode off and on, measuring the
+// replicated-write coherence path. The section reports no speedup column:
+// one run per row cannot rank configurations whose run-to-run spread on a
+// 4-vCPU host is 10-20%.
 //
 // Every run must conserve every request: the process exits 1 when any row
 // of either section lost or duplicated one.
 //
 // Flags (bench_util): --scale=F --days=F --seed=N --graph=NAME --smoke
 // --csv-dir=PATH --trace=PATH --timeseries=PATH (telemetry export from the
-// spsc+epoch payload-off fabric-comparison run) --shards=A,B,C (replaces
-// the power-of-two sweep) and the sweep's RuntimeConfig overrides
-// --queue-depth=N --batch-size=N --pin --batched=0|1 --drain=epoch|eager,
-// which keep CPU placement and the single-op drain measurable against the
-// defaults. Extra environment knob: RUNTIME_MAX_SHARDS caps the default
-// sweep.
+// epoch payload-off drain-comparison run) --shards=A,B,C (replaces the
+// power-of-two sweep) and the sweep's RuntimeConfig overrides
+// --queue-depth=N --batch-size=N --pin --drain=epoch|eager, which keep CPU
+// pinning measurable against the defaults. Extra environment knob:
+// RUNTIME_MAX_SHARDS caps the default sweep.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,12 +51,11 @@ using bench::BenchArgs;
 namespace {
 
 // `section` disambiguates the two report shapes: "sweep" rows take their
-// speedup relative to the 1-shard run of the same sweep, "fabric4" rows
-// relative to the mutex+epoch baseline at the same shard count.
+// speedup relative to the 1-shard run of the same sweep; "fabric4" rows
+// (the drain comparison) leave it empty.
 constexpr char kCsvHeader[] =
-    "section,workload,mode,payload,transport,drain,shards,queue_depth,"
-    "batch_size,pinned,batched,ops_per_sec,speedup,p50_us,p99_us,p999_us,"
-    "fresh_p99_us\n";
+    "section,workload,mode,payload,drain,shards,queue_depth,batch_size,"
+    "pinned,ops_per_sec,speedup,p50_us,p99_us,p999_us,fresh_p99_us\n";
 
 std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
   if (!args.shards.empty()) return args.shards;
@@ -72,22 +72,14 @@ std::vector<std::uint32_t> ShardSweep(const BenchArgs& args) {
   return sweep;
 }
 
-// Applies the command-line RuntimeConfig overrides (zero / -1 / empty mean
-// "keep the config's value") to a sweep run.
+// Applies the command-line RuntimeConfig overrides (zero / false / empty
+// mean "keep the config's value") to a sweep run.
 void ApplyConfigFlags(const BenchArgs& args, rt::RuntimeConfig* rt_config) {
   if (args.queue_depth != 0) rt_config->queue_depth = args.queue_depth;
   if (args.batch_size != 0) rt_config->batch_size = args.batch_size;
-  if (args.batched != -1) rt_config->batched_drain = args.batched == 1;
-  if (args.pin) {
-    rt_config->placement.pin_threads = true;
-    rt_config->placement.first_touch = true;
-  }
+  if (args.pin) rt_config->placement.pin_threads = true;
   if (args.drain == "eager") rt_config->drain = rt::DrainPolicy::kEager;
   if (args.drain == "epoch") rt_config->drain = rt::DrainPolicy::kEpoch;
-}
-
-const char* TransportName(rt::FabricTransport t) {
-  return t == rt::FabricTransport::kMutex ? "mutex" : "spsc";
 }
 
 const char* DrainName(rt::DrainPolicy d) {
@@ -95,17 +87,14 @@ const char* DrainName(rt::DrainPolicy d) {
 }
 
 struct RunRow {
-  std::string label;  // fabric-comparison rows: "<transport>+<drain>"
   std::uint32_t shards = 0;
   bool payload = false;
-  rt::FabricTransport transport = rt::FabricTransport::kSpsc;
   rt::DrainPolicy drain = rt::DrainPolicy::kEpoch;
   std::uint32_t queue_depth = 0;
   std::uint32_t batch_size = 0;
   bool pinned = false;
-  bool batched = false;
   double ops_per_sec = 0;
-  double speedup = 1.0;
+  double speedup = 1.0;  // sweep rows only
   double balance = 1.0;
   std::uint64_t messages = 0;
   rt::LatencyPercentiles completion;
@@ -156,12 +145,10 @@ RunRow RunOnce(const WorkloadCase& wc, const rt::RuntimeConfig& rt_config,
   RunRow row;
   row.shards = rt_config.num_shards;
   row.payload = wc.payload;
-  row.transport = rt_config.transport;
   row.drain = rt_config.drain;
   row.queue_depth = rt_config.queue_depth;
   row.batch_size = rt_config.batch_size;
   row.pinned = rt_config.placement.pin_threads;
-  row.batched = rt_config.batched_drain;
   row.ops_per_sec = result.ops_per_sec;
   row.messages = result.totals.messages_sent;
   row.completion = result.completion_percentiles;
@@ -175,15 +162,16 @@ void AppendCsv(const char* section, const char* workload, const char* mode,
   csv->append(section).append(",");
   csv->append(workload).append(",").append(mode).append(",");
   csv->append(row.payload ? "on" : "off").append(",");
-  csv->append(TransportName(row.transport)).append(",");
   csv->append(DrainName(row.drain)).append(",");
   csv->append(std::to_string(row.shards)).append(",");
   csv->append(std::to_string(row.queue_depth)).append(",");
   csv->append(std::to_string(row.batch_size)).append(",");
   csv->append(row.pinned ? "1" : "0").append(",");
-  csv->append(row.batched ? "1" : "0").append(",");
   csv->append(common::TablePrinter::Fmt(row.ops_per_sec, 1)).append(",");
-  csv->append(common::TablePrinter::Fmt(row.speedup, 3)).append(",");
+  if (std::string_view(section) == "sweep") {
+    csv->append(common::TablePrinter::Fmt(row.speedup, 3));
+  }
+  csv->append(",");
   csv->append(common::TablePrinter::Fmt(row.completion.p50_us, 1)).append(",");
   csv->append(common::TablePrinter::Fmt(row.completion.p99_us, 1)).append(",");
   csv->append(common::TablePrinter::Fmt(row.completion.p999_us, 1))
@@ -230,49 +218,31 @@ std::vector<RunRow> RunSweep(WorkloadCase wc,
   return rows;
 }
 
-// The fixed-shard fabric comparison: transports x drain policies, payload
-// off/on. The first row (mutex+epoch, the original path) is the speedup
-// baseline. Returns whether every row conserved.
-bool RunFabricComparison(WorkloadCase wc, std::uint32_t shards,
-                         std::string* csv) {
-  struct Config {
-    rt::FabricTransport transport;
-    rt::DrainPolicy drain;
-  };
-  const Config configs[] = {
-      {rt::FabricTransport::kMutex, rt::DrainPolicy::kEpoch},
-      {rt::FabricTransport::kSpsc, rt::DrainPolicy::kEpoch},
-      {rt::FabricTransport::kSpsc, rt::DrainPolicy::kEager},
-  };
-
-  std::printf("-- fabric comparison: %u shards, synthetic workload, static "
+// The fixed-shard drain comparison: epoch vs eager drains, payload off/on.
+// Returns whether every row conserved.
+bool RunDrainComparison(WorkloadCase wc, std::uint32_t shards,
+                        std::string* csv) {
+  std::printf("-- drain comparison: %u shards, synthetic workload, static "
               "engine --\n", shards);
-  common::TablePrinter table({"fabric", "payload", "ops/sec", "speedup",
-                              "p50_us", "p99_us", "p999_us", "fresh_p99_us"});
-  double baseline = 0;
+  common::TablePrinter table({"drain", "payload", "ops/sec", "p50_us",
+                              "p99_us", "p999_us", "fresh_p99_us"});
   bool conserved = true;
   for (const bool payload : {false, true}) {
     wc.payload = payload;
-    for (const Config& c : configs) {
+    for (const rt::DrainPolicy drain :
+         {rt::DrainPolicy::kEpoch, rt::DrainPolicy::kEager}) {
       rt::RuntimeConfig rt_config;
       rt_config.num_shards = shards;
-      rt_config.transport = c.transport;
-      rt_config.drain = c.drain;
-      // Telemetry export rides the spsc+epoch payload-off run — the
-      // default-transport configuration, so the trace shows the plane CI
-      // exercises everywhere else.
+      rt_config.drain = drain;
+      // Telemetry export rides the epoch payload-off run — the default
+      // configuration, so the trace shows the plane CI exercises
+      // everywhere else.
       rt_config.telemetry.enabled = bench::WantRunTelemetry(*wc.args) &&
                                     !payload &&
-                                    c.transport == rt::FabricTransport::kSpsc &&
-                                    c.drain == rt::DrainPolicy::kEpoch;
-      RunRow row = RunOnce(wc, rt_config);
-      row.label = std::string(TransportName(c.transport)) + "+" +
-                  DrainName(c.drain);
-      if (baseline == 0) baseline = row.ops_per_sec;
-      row.speedup = baseline > 0 ? row.ops_per_sec / baseline : 1.0;
-      table.AddRow({row.label, payload ? "on" : "off",
+                                    drain == rt::DrainPolicy::kEpoch;
+      const RunRow row = RunOnce(wc, rt_config);
+      table.AddRow({DrainName(drain), payload ? "on" : "off",
                     common::TablePrinter::Fmt(row.ops_per_sec, 0),
-                    common::TablePrinter::Fmt(row.speedup, 2),
                     common::TablePrinter::Fmt(row.completion.p50_us, 1),
                     common::TablePrinter::Fmt(row.completion.p99_us, 1),
                     common::TablePrinter::Fmt(row.completion.p999_us, 1),
@@ -341,7 +311,7 @@ int main(int argc, char** argv) {
                           &csv);
   std::printf("\n");
 
-  conserved &= RunFabricComparison(sweep_case({}, false), /*shards=*/4, &csv);
+  conserved &= RunDrainComparison(sweep_case({}, false), /*shards=*/4, &csv);
 
   bench::SaveCsv(args, "runtime_throughput", csv);
   if (!conserved) {

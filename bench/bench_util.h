@@ -42,12 +42,11 @@ struct BenchArgs {
   // Runtime config overrides (bench_runtime_throughput). --shards=A,B,C
   // replaces the default power-of-two shard sweep; the remaining flags
   // override the corresponding RuntimeConfig fields wherever the bench
-  // honors them (0 / -1 / empty mean "keep the config's default").
+  // honors them (0 / false / empty mean "keep the config's default").
   std::vector<std::uint32_t> shards;
   std::uint32_t queue_depth = 0;   // --queue-depth=N
   std::uint32_t batch_size = 0;    // --batch-size=N
-  bool pin = false;                // --pin: pin_threads + first_touch
-  int batched = -1;                // --batched=0|1: batched_drain
+  bool pin = false;                // --pin: placement.pin_threads
   std::string drain;               // --drain=epoch|eager
 
   // Serving-tier knobs (bench_server_loopback). --port=N binds the server
@@ -61,7 +60,7 @@ struct BenchArgs {
 // Recognized flags: --scale=F --days=F --seed=N --graph=NAME --trials=N
 // --points=A,B,C --all-graphs --smoke --csv-dir=PATH --trace=PATH
 // --timeseries=PATH --shards=A,B,C --queue-depth=N --batch-size=N --pin
-// --batched=0|1 --drain=epoch|eager --port=N --connections=N.
+// --drain=epoch|eager --port=N --connections=N.
 // Environment variable REPRO_SCALE overrides --scale when set.
 BenchArgs ParseArgs(int argc, char** argv);
 

@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "common/types.h"
-#include "runtime/fabric.h"
 #include "runtime/shard_map.h"
 
 namespace dynasore::rt {
@@ -21,7 +20,7 @@ namespace dynasore::rt {
 enum class DrainPolicy : std::uint8_t {
   // Deterministic: channels drain only at epoch boundaries, in global
   // sequence order. Results are byte-identical across runs, shard counts,
-  // transports, and the inline fallback.
+  // and the inline fallback.
   kEpoch,
   // Opportunistic: workers additionally poll their inbound channels between
   // request batches and serve remote slices whose age exceeds
@@ -176,16 +175,14 @@ struct TelemetryConfig {
   }
 };
 
-// CPU/NUMA-aware worker placement. Off by default: the OS scheduler places
-// worker threads freely, exactly as before this config existed. When
-// enabled, each spawned worker pins itself to a CPU and (optionally)
-// first-touches its hot memory from that CPU before the first request is
-// dispatched, so pages land on the pinned core's NUMA node. Placement is
-// strictly best-effort: on machines/containers where affinity calls fail
-// or the CPU set is smaller than the shard count, the runtime records the
-// failure in telemetry (a kPlacement trace event per worker) and carries on
-// unpinned — results are bit-identical with placement on or off under
-// kEpoch, so the fallback is always safe.
+// CPU worker placement. Off by default: the OS scheduler places worker
+// threads freely. When enabled, each spawned worker pins itself to a CPU
+// before the first request is dispatched. Placement is strictly
+// best-effort: on machines/containers where affinity calls fail or the CPU
+// set is smaller than the shard count, the runtime records the failure in
+// telemetry (a kPlacement trace event per worker) and carries on unpinned —
+// results are bit-identical with placement on or off under kEpoch, so the
+// fallback is always safe.
 struct PlacementConfig {
   // Pin worker s to CPU (cpu_offset + s * cpu_stride) % num_cpus via
   // pthread_setaffinity_np on the worker thread itself, before it executes
@@ -202,28 +199,13 @@ struct PlacementConfig {
   // (see Validate; a stride of 0 would pin every worker to the same CPU).
   std::uint32_t cpu_stride = 1;
 
-  // After pinning, each worker touches the consumer side of its inbound
-  // fabric channels and pre-faults its drain/scratch buffers from the
-  // pinned CPU, and — on the first run only, while the engines are still
-  // pristine (no requests executed, no reconfiguration, no imported state)
-  // — rebuilds its shard's engine on the worker thread so the store pages
-  // are first-touched on the owning worker's NUMA node. Engine construction
-  // is deterministic from the runtime's immutable inputs, so the rebuilt
-  // engine is identical to the one built at construction. Only meaningful
-  // with spawn_threads; requires pin_threads to matter for locality but is
-  // honored independently.
-  bool first_touch = false;
-
-  // Whether any placement work happens at worker start.
-  bool Active() const { return pin_threads || first_touch; }
-
   // Checks the ranges above; throws std::invalid_argument naming the
   // offending field. Called by RuntimeConfig::Validate.
   void Validate() const {
-    if ((pin_threads || first_touch) && cpu_stride == 0) {
+    if (pin_threads && cpu_stride == 0) {
       throw std::invalid_argument(
-          "PlacementConfig::cpu_stride must be at least 1 when placement is "
-          "enabled (stride 0 would pin every worker to the same CPU)");
+          "PlacementConfig::cpu_stride must be at least 1 when pin_threads "
+          "is set (stride 0 would pin every worker to the same CPU)");
     }
   }
 };
@@ -342,11 +324,6 @@ struct RuntimeConfig {
   // cannot check it here.
   SimTime epoch_seconds = 0;
 
-  // Cross-shard transport: lock-free SPSC rings (the default) or the
-  // original mutex-guarded queues. Under DrainPolicy::kEpoch both produce
-  // bit-for-bit identical results.
-  FabricTransport transport = FabricTransport::kSpsc;
-
   // See DrainPolicy.
   DrainPolicy drain = DrainPolicy::kEpoch;
 
@@ -409,16 +386,6 @@ struct RuntimeConfig {
 
   // Worker placement; disabled by default (see PlacementConfig above).
   PlacementConfig placement;
-
-  // Batched fabric consume: boundary and barrier-assist drains empty each
-  // channel with one Fabric::DrainChannel claim (one acquire/release pair
-  // on the SPSC transport) instead of one TryRecv per batch. false selects
-  // the original single-op pops — kept selectable because under kEpoch the
-  // two paths must produce bit-identical results (runtime_test.cc pins
-  // this), which makes the fast path cheap to audit. The staleness-gated
-  // eager poll always pops one batch at a time regardless (each pop is
-  // gated on the channel's oldest dispatch age).
-  bool batched_drain = true;
 
   // false selects the deterministic inline fallback: the same epoch state
   // machine executed on the calling thread, shard by shard, with no threads

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -113,7 +112,7 @@ ShardedRuntime::ShardedRuntime(const graph::SocialGraph& g,
   // flight per shard, so queue_depth + 2 batches per channel lets every
   // epoch-boundary flush succeed without waiting; overflow between drains
   // simply keeps coalescing in the producer's outbox.
-  fabric_ = MakeFabric(config_.transport, n, config_.queue_depth + 2);
+  fabric_ = std::make_unique<Fabric>(n, config_.queue_depth + 2);
   shards_.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
     shards_.push_back(MakeShard(s));
@@ -143,77 +142,53 @@ std::unique_ptr<ShardedRuntime::Shard> ShardedRuntime::MakeShard(
   return shard;
 }
 
-void ShardedRuntime::InstallMaintenanceOwner(Shard& shard) {
-  if (map_.num_shards() > 1) {
-    // Each engine adapts and evicts only the views this shard owns; the
-    // other shards' views keep their last-known replicas here.
-    shard.engine->SetMaintenanceOwner(
-        [map = map_, s = shard.id](ViewId v) { return map.shard_of(v) == s; });
-  } else {
-    shard.engine->SetMaintenanceOwner({});  // sole shard maintains all
-  }
-}
-
 void ShardedRuntime::InstallMaintenanceOwners() {
-  for (auto& shard : shards_) InstallMaintenanceOwner(*shard);
+  for (auto& shard : shards_) {
+    if (map_.num_shards() > 1) {
+      // Each engine adapts and evicts only the views this shard owns; the
+      // other shards' views keep their last-known replicas here.
+      shard->engine->SetMaintenanceOwner(
+          [map = map_, s = shard->id](ViewId v) {
+            return map.shard_of(v) == s;
+          });
+    } else {
+      shard->engine->SetMaintenanceOwner({});  // sole shard maintains all
+    }
+  }
 }
 
 // Runs on the worker thread, inside the placement gate: the dispatcher is
-// blocked in WaitFor and every other worker is in its own kPlace task (or
-// parked), so map_/fabric_ are stable and no channel has an active producer.
-// Called once per worker, as the first task after its spawn.
-void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
+// blocked in WaitFor, so the trace event lands before any later telemetry
+// read. Called once per worker, as the first task after its spawn.
+void ShardedRuntime::ApplyPlacement(Shard& shard) {
   const PlacementConfig& pc = config_.placement;
-  std::uint64_t requested = ~std::uint64_t{0};
+  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint64_t requested =
+      (pc.cpu_offset + static_cast<std::uint64_t>(shard.id) * pc.cpu_stride) %
+      ncpu;
   std::uint64_t achieved = ~std::uint64_t{0};
   bool pinned = false;
-  const char* outcome = "pinning disabled";
-  if (pc.pin_threads) {
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    requested = (pc.cpu_offset +
-                 static_cast<std::uint64_t>(shard.id) * pc.cpu_stride) %
-                ncpu;
 #if defined(__linux__)
-    // Self-pinning, so every later allocation/fault in this function (and
-    // in the worker's whole life) happens from the target CPU. Failure is
-    // the documented graceful no-op: record and continue unpinned.
-    cpu_set_t want;
-    CPU_ZERO(&want);
-    CPU_SET(static_cast<int>(requested), &want);
-    outcome = "setaffinity failed";
-    if (pthread_setaffinity_np(pthread_self(), sizeof(want), &want) == 0) {
-      cpu_set_t got;
-      CPU_ZERO(&got);
-      outcome = "readback failed";
-      if (pthread_getaffinity_np(pthread_self(), sizeof(got), &got) == 0 &&
-          CPU_ISSET(static_cast<int>(requested), &got)) {
-        pinned = true;
-        achieved = requested;
-        outcome = "pinned";
-      }
+  // Self-pinning, so the worker's whole life runs on the target CPU.
+  // Failure is the documented graceful no-op: record and continue unpinned.
+  cpu_set_t want;
+  CPU_ZERO(&want);
+  CPU_SET(static_cast<int>(requested), &want);
+  const char* outcome = "setaffinity failed";
+  if (pthread_setaffinity_np(pthread_self(), sizeof(want), &want) == 0) {
+    cpu_set_t got;
+    CPU_ZERO(&got);
+    outcome = "readback failed";
+    if (pthread_getaffinity_np(pthread_self(), sizeof(got), &got) == 0 &&
+        CPU_ISSET(static_cast<int>(requested), &got)) {
+      pinned = true;
+      achieved = requested;
+      outcome = "pinned";
     }
+  }
 #else
-    outcome = "affinity unsupported";
+  const char* outcome = "affinity unsupported";
 #endif
-  }
-
-  if (pc.first_touch) {
-    if (rebuild_engine) {
-      // First spawn, pristine engines: reconstructing from the runtime's
-      // immutable inputs yields a bit-identical engine whose store pages
-      // are first-touched on this (now possibly pinned) worker instead of
-      // the dispatcher. Never done once any state was executed or imported.
-      auto fresh =
-          std::make_unique<core::Engine>(topo_, initial_, engine_config_);
-      if (persist_ != nullptr) fresh->AttachPersistentStore(persist_);
-      shard.engine = std::move(fresh);
-      InstallMaintenanceOwner(shard);
-    }
-    // Consumer side of every inbound channel: fault the slot pages from
-    // this worker. Scratch (drain_batches, drain_order, overlay buffers)
-    // needs no help — it grows lazily on the worker's first use.
-    fabric_->PrefaultInbound(shard.id);
-  }
 
   if (shard.telem != nullptr) {
     TraceEvent e;
@@ -223,7 +198,6 @@ void ShardedRuntime::ApplyPlacement(Shard& shard, bool rebuild_engine) {
     e.u0 = requested;
     e.u1 = achieved;
     e.u2 = pinned ? 1 : 0;
-    e.u3 = pc.first_touch ? 1 : 0;
     e.label = outcome;
     shard.telem->Emit(e);
   }
@@ -237,20 +211,17 @@ void ShardedRuntime::SpawnWorkers() {
     sp->worker = std::thread([this, sp] { WorkerLoop(*sp); });
     spawned.push_back(sp);
   }
-  // Placement phase: each new worker pins itself and first-touches its hot
-  // memory before its first request; the gate makes it a barrier, so no
-  // producer can race a consumer-side ring prefault. Workers spawned
-  // earlier are parked on their queues, so the gate counts only these.
-  if (config_.placement.Active() && !spawned.empty()) {
+  // Placement phase: each new worker pins itself before its first request;
+  // the gate makes it a barrier. Workers spawned earlier are parked on
+  // their queues, so the gate counts only these.
+  if (config_.placement.pin_threads && !spawned.empty()) {
     for (Shard* sp : spawned) {
       Task task;
       task.kind = Task::Kind::kPlace;
-      task.rebuild_engine = engines_pristine_ && config_.placement.first_touch;
       sp->tasks.Push(std::move(task));
     }
     gate_.WaitFor(static_cast<std::uint32_t>(spawned.size()));
   }
-  engines_pristine_ = false;
 }
 
 ShardedRuntime::~ShardedRuntime() {
@@ -346,9 +317,6 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
                                       SimTime epoch_end, std::uint64_t batch) {
   const std::uint32_t old_n = map_.num_shards();
   if (new_count == old_n) return;
-  // Any resize imports view state, so a later placement pass must never
-  // rebuild engines from the initial placement again.
-  engines_pristine_ = false;
   // The old per-shard baselines no longer describe this shard set; the
   // next boundary observation rebases instead (a retired-then-respawned
   // shard id must not inherit its predecessor's cumulative stats, which a
@@ -375,7 +343,7 @@ void ShardedRuntime::BeginReconfigure(std::uint32_t new_count,
   // which fails into an open, consistent window instead (see there).
   if (new_count > old_n) {
     auto new_fabric =
-        MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
+        std::make_unique<Fabric>(new_count, config_.queue_depth + 2);
     const std::uint32_t slot = shards_.front()->engine->current_slot();
     try {
       for (std::uint32_t s = old_n; s < new_count; ++s) {
@@ -486,7 +454,7 @@ void ShardedRuntime::CompleteMigration() {
   std::unique_ptr<Fabric> new_fabric;
   if (new_count < w.from_shards) {
     new_fabric =
-        MakeFabric(config_.transport, new_count, config_.queue_depth + 2);
+        std::make_unique<Fabric>(new_count, config_.queue_depth + 2);
   }
   map_ = w.target;
   replicate_writes_ = new_count > 1 && engine_config_.store.payload_mode;
@@ -827,8 +795,7 @@ void ShardedRuntime::ApplyChannelFaultsAtBoundary(std::uint64_t epoch_index,
     }
     const std::uint64_t t0 = NowNs();
     std::vector<WireBatch> claimed;
-    fabric_->DrainChannel(f.shard, f.peer, claimed,
-                          std::numeric_limits<std::size_t>::max());
+    fabric_->DrainChannel(f.shard, f.peer, claimed);
     FaultEvent event;
     event.epoch_end = epoch_end;
     event.kind = f.kind;
@@ -894,7 +861,6 @@ void ShardedRuntime::KillShard(std::uint32_t shard) {
 void ShardedRuntime::KillShardAtBoundary(std::uint32_t s, SimTime epoch_end) {
   const std::uint64_t t0 = NowNs();
   Shard& shard = *shards_[s];
-  engines_pristine_ = false;
 
   FaultEvent event;
   event.epoch_end = epoch_end;
@@ -1560,7 +1526,6 @@ void ShardedRuntime::DrainEpoch(Shard& shard) {
   const std::uint64_t t0 = telem != nullptr ? NowNs() : 0;
   auto& batches = shard.drain_batches;
   batches.clear();
-  const bool batched = config_.batched_drain;
   std::size_t claims = 0;
   for (std::uint32_t src = 0; src < map_.num_shards(); ++src) {
     if (src == shard.id) continue;
@@ -1570,20 +1535,10 @@ void ShardedRuntime::DrainEpoch(Shard& shard) {
       const std::uint64_t depth = fabric_->Depth(src, shard.id);
       if (depth > telem->fabric_max_depth) telem->fabric_max_depth = depth;
     }
-    if (batched) {
-      // One synchronized claim empties the whole channel: the producer is
-      // quiescent behind the flush barrier, so a single acquire observes
-      // everything it published, and one release frees all the slots.
-      if (fabric_->DrainChannel(src, shard.id, batches,
-                                std::numeric_limits<std::size_t>::max()) !=
-          0) {
-        ++claims;
-      }
-    } else {
-      while (auto batch = fabric_->TryRecv(src, shard.id)) {
-        batches.push_back(std::move(*batch));
-      }
-    }
+    // One synchronized claim empties the whole channel: the producer is
+    // quiescent behind the flush barrier, so a single acquire observes
+    // everything it published, and one release frees all the slots.
+    if (fabric_->DrainChannel(src, shard.id, batches) != 0) ++claims;
   }
   const std::size_t batch_count = batches.size();
   const std::size_t ops = ServeBatches(shard);
@@ -1618,26 +1573,20 @@ void ShardedRuntime::EagerPoll(Shard& shard, bool ignore_staleness) {
   std::size_t claims = 0;
   for (std::uint32_t src = 0; src < map_.num_shards(); ++src) {
     if (src == shard.id) continue;
-    if (ignore_staleness && config_.batched_drain) {
+    if (ignore_staleness) {
       // Barrier-assist poll: no staleness gate, so the whole channel can be
       // claimed at once. The producer may still be mid-flush — anything it
       // publishes after this claim is caught by the enclosing retry loop.
-      if (fabric_->DrainChannel(src, shard.id, batches,
-                                std::numeric_limits<std::size_t>::max()) !=
-          0) {
-        ++claims;
-      }
+      if (fabric_->DrainChannel(src, shard.id, batches) != 0) ++claims;
       continue;
     }
     for (;;) {
-      if (!ignore_staleness) {
-        const std::uint64_t oldest = fabric_->OldestDispatchNs(src, shard.id);
-        // Serve only batches that have aged past the staleness bound; the
-        // rest wait for a later poll or the epoch-boundary drain. This gate
-        // re-checks per batch, which is why the staleness path keeps
-        // single-op pops even when batched_drain is on.
-        if (oldest == 0 || oldest > now || now - oldest < min_age_ns) break;
-      }
+      const std::uint64_t oldest = fabric_->OldestDispatchNs(src, shard.id);
+      // Serve only batches that have aged past the staleness bound; the
+      // rest wait for a later poll or the epoch-boundary drain. This gate
+      // re-checks per batch, which is why the staleness path pops one batch
+      // at a time.
+      if (oldest == 0 || oldest > now || now - oldest < min_age_ns) break;
       auto batch = fabric_->TryRecv(src, shard.id);
       if (!batch) break;
       batches.push_back(std::move(*batch));
@@ -1770,7 +1719,7 @@ void ShardedRuntime::WorkerLoop(Shard& shard) {
         gate_.Arrive();
         break;
       case Task::Kind::kPlace:
-        ApplyPlacement(shard, task->rebuild_engine);
+        ApplyPlacement(shard);
         gate_.Arrive();
         break;
       case Task::Kind::kShutdown:

@@ -8,9 +8,8 @@
 // queue (batched to amortize the lock). A read whose target list crosses
 // shard boundaries executes its local slice immediately and ships the
 // remote slices — and replicated-write coherence updates — through the
-// rt::Fabric communication plane: one SPSC channel per (source,
-// destination) shard pair, lock-free rings by default with the mutex queue
-// path as a selectable fallback. The per-request hot path never touches
+// rt::Fabric communication plane: one lock-free SPSC ring per (source,
+// destination) shard pair. The per-request hot path never touches
 // shared state: counters, traffic, and latency histograms live in
 // per-shard accumulators merged on demand after the run.
 //
@@ -19,8 +18,8 @@
 //   sequence number. Each shard's engine observes (a) its owned requests in
 //   global log order, (b) drained channel messages in seq order, and (c)
 //   ticks at epoch boundaries — none of which depend on thread
-//   interleaving, so runs are byte-identical across runs, transports, and
-//   the inline fallback, and the single-shard configuration reproduces the
+//   interleaving, so runs are byte-identical across runs and the inline
+//   fallback, and the single-shard configuration reproduces the
 //   sequential engine's counters exactly.
 //   kEager — workers additionally poll inbound channels between request
 //   batches and serve remote slices older than the staleness bound,
@@ -507,16 +506,12 @@ class ShardedRuntime {
       kRequests,
       kEndEpoch,
       kDrainEpoch,
-      kPlace,  // pin + first-touch on the worker, before any request
+      kPlace,  // pin the worker, before any request
       kShutdown,
     };
     Kind kind = Kind::kRequests;
     std::vector<SeqRequest> requests;  // kRequests
     std::vector<SimTime> ticks;        // kDrainEpoch
-    // kPlace: rebuild this shard's engine on the worker (first-touch of the
-    // store pages). Only set on the first spawn while the engines are
-    // pristine — never after requests executed or state was imported.
-    bool rebuild_engine = false;
   };
 
   // Counts worker arrivals at an epoch phase boundary.
@@ -648,31 +643,26 @@ class ShardedRuntime {
   // Builds one shard (engine over the stored initial placement, task queue,
   // outboxes are sized by the caller).
   std::unique_ptr<Shard> MakeShard(std::uint32_t id);
-  // (Re)installs one engine's maintenance-ownership predicate from map_.
-  // Called on the dispatcher at quiescent points, and on the owning worker
-  // after a placement engine rebuild (map_ is stable then: the dispatcher
-  // is parked on the placement gate).
-  void InstallMaintenanceOwner(Shard& shard);
   // (Re)installs each engine's maintenance-ownership predicate from map_.
+  // Called on the dispatcher at quiescent points.
   void InstallMaintenanceOwners();
   // Runs on the worker thread as its first task (Task::Kind::kPlace):
-  // pins the thread per PlacementConfig, optionally rebuilds the engine
-  // (first_touch on pristine engines) and prefaults the consumer side of
-  // the shard's inbound channels, then records the achieved placement as a
-  // kPlacement trace event. Failures degrade to a recorded no-op.
-  void ApplyPlacement(Shard& shard, bool rebuild_engine);
+  // pins the thread per PlacementConfig, then records the achieved
+  // placement as a kPlacement trace event. Failures degrade to a recorded
+  // no-op.
+  void ApplyPlacement(Shard& shard);
 
   // ----- Worker lifecycle (RuntimeConfig::spawn_threads) -----
   //
   // A worker lives as long as its shard. SpawnWorkers starts one for every
-  // shard that has none and, when placement is active, runs the placement
-  // phase (a kPlace task per new worker, then the gate) for just those — so
-  // pinning and first-touch happen once per worker. Run calls it at start
-  // and after every epoch boundary: on the first Run it spawns them all,
-  // afterwards only the shards a split created, a kill joined or an aborted
-  // Run shut down. A worker is joined only when its shard is retired by a
-  // merge (RetireShard), killed (KillShardAtBoundary), when an aborted
-  // Run's guard calls ShutdownWorkers, or by the destructor.
+  // shard that has none and, when pinning is on, runs the placement phase
+  // (a kPlace task per new worker, then the gate) for just those — so
+  // pinning happens once per worker. Run calls it at start and after every
+  // epoch boundary: on the first Run it spawns them all, afterwards only
+  // the shards a split created, a kill joined or an aborted Run shut down.
+  // A worker is joined only when its shard is retired by a merge
+  // (RetireShard), killed (KillShardAtBoundary), when an aborted Run's
+  // guard calls ShutdownWorkers, or by the destructor.
   //
   // Between Runs every worker is parked in a blocking Pop on its task queue
   // (no CPU), and the dispatcher-side work done then — Reconfigure,
@@ -903,11 +893,6 @@ class ShardedRuntime {
   std::unique_ptr<Fabric> fabric_;
   std::vector<std::unique_ptr<Shard>> shards_;
   Gate gate_;
-
-  // True until the first worker spawn or any reconfiguration or kill
-  // changes engine state — the window in which a placement engine rebuild
-  // is guaranteed to reproduce the constructor-built engine exactly.
-  bool engines_pristine_ = true;
 
   // Reconfiguration request hand-off (any thread -> dispatcher) and the
   // retained accumulators of retired shards (dispatcher only, read by

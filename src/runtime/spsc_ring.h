@@ -1,5 +1,5 @@
 // Fixed-size lock-free single-producer/single-consumer ring buffer: the
-// per-(source, destination) channel underneath rt::SpscFabric.
+// per-(source, destination) channel underneath rt::Fabric.
 //
 // A Lamport queue with cached counterpart indices: the producer re-reads the
 // consumer's head (and vice versa) only when its cached copy says the ring
@@ -18,11 +18,11 @@
 // (construction, or an epoch-boundary fabric swap during online
 // reconfiguration).
 //
-// Batched consume: ConsumeInto claims N slots under ONE acquire load + ONE
-// release store, vs one acquire/release pair per element for TryPop. At an
-// epoch-boundary drain of a deep channel this turns N synchronized
-// operations into a single claim plus a move loop; it interleaves freely
-// with TryPop/Front on the consumer side.
+// Batched consume: ConsumeInto claims every queued slot under ONE acquire
+// load + ONE release store, vs one acquire/release pair per element for
+// TryPop. At an epoch-boundary drain of a deep channel this turns N
+// synchronized operations into a single claim plus a move loop; it
+// interleaves freely with TryPop/Front on the consumer side.
 #pragma once
 
 #include <atomic>
@@ -70,20 +70,16 @@ class SpscRing {
     return item;
   }
 
-  // Consumer only: batched consume. Appends up to `max` queued items to
-  // `out` under ONE acquire load of tail_ (the claim) and ONE release store
-  // of head_ (freeing every consumed slot at once), instead of a
-  // synchronized pair per element. Each consumed slot is reset to T{} so
-  // payload buffers are released eagerly, exactly like TryPop. Returns the
-  // number consumed (zero when the ring is empty).
-  std::size_t ConsumeInto(std::vector<T>& out, std::size_t max) {
+  // Consumer only: batched consume. Appends every queued item to `out`
+  // under ONE acquire load of tail_ (the claim) and ONE release store of
+  // head_ (freeing every consumed slot at once), instead of a synchronized
+  // pair per element. Each consumed slot is reset to T{} so payload buffers
+  // are released eagerly, exactly like TryPop. Returns the number consumed
+  // (zero when the ring is empty).
+  std::size_t ConsumeInto(std::vector<T>& out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail = tail_cache_ - head;
-    if (avail < max) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = tail_cache_ - head;
-    }
-    const std::size_t n = std::min(max, avail);
+    tail_cache_ = tail_.load(std::memory_order_acquire);
+    const std::size_t n = tail_cache_ - head;
     if (n == 0) return 0;
     for (std::size_t i = 0; i < n; ++i) {
       out.push_back(std::move(slots_[(head + i) & mask_]));
@@ -121,15 +117,6 @@ class SpscRing {
   }
 
   std::size_t capacity() const { return mask_ + 1; }
-
-  // Consumer only, and only while the ring is empty and the producer is
-  // quiescent (the runtime's placement phase, where a gate guarantees
-  // both): rewrites every slot so the backing pages are faulted — and on
-  // first-touch NUMA policies, placed — from the calling thread. Slots are
-  // unreachable by a quiescent producer, so this cannot race.
-  void Prefault() {
-    for (T& slot : slots_) slot = T{};
-  }
 
  private:
   static constexpr std::size_t kCacheLine = 64;

@@ -134,7 +134,6 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
       AppendU64(out, "requested_cpu", e.u0, &first);
       AppendU64(out, "achieved_cpu", e.u1, &first);
       AppendU64(out, "pinned", e.u2, &first);
-      AppendU64(out, "first_touch", e.u3, &first);
       out.append(",\"outcome\":\"").append(e.label).append("\"");
       break;
     case TraceEventType::kFault:

@@ -87,8 +87,7 @@ enum class TraceEventType : std::uint8_t {
 //                     completions), f3=SLO target (µs; 0 = SLO policy off),
 //                     label=reason
 //   kPlacement        u0=requested cpu, u1=achieved cpu (or ~0 on
-//                     failure/unpinned), u2=pinned (1/0), u3=first-touch
-//                     performed (1/0), label=outcome
+//                     failure/unpinned), u2=pinned (1/0), label=outcome
 //   kFault            u0=kind (FaultSpec::Kind), u1=shard/src, u2=peer/dst,
 //                     u3=ops dropped+delayed, u4=writes lost,
 //                     u5=fault sequence id, label=kind name

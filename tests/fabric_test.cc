@@ -73,21 +73,20 @@ TEST(SpscRingTest, WrapsAroundManyTimes) {
 
 // ----- Batched consumer API -----
 
-TEST(SpscRingTest, ConsumeIntoHonorsMaxAndEmptyRing) {
+TEST(SpscRingTest, ConsumeIntoEmptiesRingAndSkipsEmptyRing) {
   SpscRing<int> ring(8);
   std::vector<int> out;
-  EXPECT_EQ(ring.ConsumeInto(out, 4), 0u);  // empty: no claim
+  EXPECT_EQ(ring.ConsumeInto(out), 0u);  // empty: no claim
   EXPECT_TRUE(out.empty());
 
   for (int i = 0; i < 6; ++i) {
     int v = i;
     ASSERT_TRUE(ring.TryPush(v));
   }
-  EXPECT_EQ(ring.ConsumeInto(out, 4), 4u);  // partial: max < available
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(ring.ConsumeInto(out, 100), 2u);  // rest: max > available
+  EXPECT_EQ(ring.ConsumeInto(out), 6u);  // one claim takes everything
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(ring.ConsumeInto(out, 100), 0u);
+  EXPECT_EQ(ring.ConsumeInto(out), 0u);
+  EXPECT_EQ(ring.Size(), 0u);
 }
 
 TEST(SpscRingTest, BatchedOpsWrapAroundManyTimes) {
@@ -102,7 +101,7 @@ TEST(SpscRingTest, BatchedOpsWrapAroundManyTimes) {
       ASSERT_TRUE(ring.TryPush(v));
     }
     out.clear();
-    ASSERT_EQ(ring.ConsumeInto(out, burst), burst);
+    ASSERT_EQ(ring.ConsumeInto(out), burst);
     for (std::uint64_t v : out) ASSERT_EQ(v, next_pop++);
   }
   EXPECT_EQ(next_pop, next_push);
@@ -125,7 +124,7 @@ TEST(SpscRingTest, BatchedAndSingleOpApisInterleave) {
     // combination.
     if (round % 3 == 0) {
       out.clear();
-      ring.ConsumeInto(out, 2);
+      ring.ConsumeInto(out);
       for (std::uint64_t v : out) ASSERT_EQ(v, next_pop++);
     } else {
       while (auto v = ring.TryPop()) ASSERT_EQ(*v, next_pop++);
@@ -191,7 +190,7 @@ TEST(SpscRingTest, BatchedProducerConsumerDeliversEverythingInOrder) {
       continue;
     }
     out.clear();
-    const std::size_t got = ring.ConsumeInto(out, 8);
+    const std::size_t got = ring.ConsumeInto(out);
     if (got == 0) {
       std::this_thread::yield();
       continue;
@@ -234,7 +233,7 @@ TEST(SpscRingTest, ProducerConsumerDeliversEverythingInOrder) {
   EXPECT_FALSE(ring.TryPop().has_value());
 }
 
-// ----- Fabric (both transports through the same interface) -----
+// ----- Fabric -----
 
 WireBatch MakeBatch(std::uint64_t seq, std::uint64_t dispatch_ns,
                     std::vector<ViewId> targets) {
@@ -251,82 +250,79 @@ WireBatch MakeBatch(std::uint64_t seq, std::uint64_t dispatch_ns,
   return batch;
 }
 
-class FabricTest : public ::testing::TestWithParam<FabricTransport> {};
-
-INSTANTIATE_TEST_SUITE_P(Transports, FabricTest,
-                         ::testing::Values(FabricTransport::kMutex,
-                                           FabricTransport::kSpsc));
-
-TEST_P(FabricTest, RoundTripPreservesPayload) {
-  auto fabric = MakeFabric(GetParam(), 3, 4);
+TEST(FabricTest, RoundTripPreservesPayload) {
+  Fabric fabric(3, 4);
   WireBatch batch = MakeBatch(7, 1000, {10, 11, 12});
-  ASSERT_TRUE(fabric->TrySend(0, 2, batch));
-  auto received = fabric->TryRecv(0, 2);
+  ASSERT_TRUE(fabric.TrySend(0, 2, batch));
+  auto received = fabric.TryRecv(0, 2);
   ASSERT_TRUE(received.has_value());
   ASSERT_EQ(received->ops.size(), 1u);
   EXPECT_EQ(received->ops[0].seq, 7u);
   EXPECT_EQ(received->ops[0].dispatch_ns, 1000u);
   EXPECT_EQ(received->targets, (std::vector<ViewId>{10, 11, 12}));
-  EXPECT_FALSE(fabric->TryRecv(0, 2).has_value());
+  EXPECT_FALSE(fabric.TryRecv(0, 2).has_value());
 }
 
-TEST_P(FabricTest, ChannelsAreIndependentPerPair) {
-  auto fabric = MakeFabric(GetParam(), 3, 4);
+TEST(FabricTest, ChannelsAreIndependentPerPair) {
+  Fabric fabric(3, 4);
   WireBatch from0 = MakeBatch(1, 100, {1});
   WireBatch from1 = MakeBatch(2, 200, {2});
-  ASSERT_TRUE(fabric->TrySend(0, 2, from0));
-  ASSERT_TRUE(fabric->TrySend(1, 2, from1));
-  EXPECT_FALSE(fabric->TryRecv(2, 0).has_value());  // wrong direction
-  auto a = fabric->TryRecv(0, 2);
-  auto b = fabric->TryRecv(1, 2);
+  ASSERT_TRUE(fabric.TrySend(0, 2, from0));
+  ASSERT_TRUE(fabric.TrySend(1, 2, from1));
+  EXPECT_FALSE(fabric.TryRecv(2, 0).has_value());  // wrong direction
+  auto a = fabric.TryRecv(0, 2);
+  auto b = fabric.TryRecv(1, 2);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->ops[0].seq, 1u);
   EXPECT_EQ(b->ops[0].seq, 2u);
 }
 
-TEST_P(FabricTest, TrySendFailsWhenFullAndKeepsBatch) {
-  auto fabric = MakeFabric(GetParam(), 2, 2);
+TEST(FabricTest, TrySendFailsWhenFullAndKeepsBatch) {
+  Fabric fabric(2, 2);
   WireBatch overflow = MakeBatch(99, 900, {42});
   int sent = 0;
-  // Fill the channel to whatever its (transport-rounded) capacity is.
+  // Fill the channel to its (power-of-two rounded) capacity.
   for (; sent < 1000; ++sent) {
     WireBatch batch = MakeBatch(static_cast<std::uint64_t>(sent), 1, {1});
-    if (!fabric->TrySend(0, 1, batch)) break;
+    if (!fabric.TrySend(0, 1, batch)) break;
   }
   EXPECT_GE(sent, 2);
-  EXPECT_FALSE(fabric->TrySend(0, 1, overflow));
+  EXPECT_FALSE(fabric.TrySend(0, 1, overflow));
   EXPECT_EQ(overflow.ops[0].seq, 99u);  // rejected batch untouched
   EXPECT_EQ(overflow.targets, std::vector<ViewId>{42});
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_TRUE(fabric->TrySend(0, 1, overflow));  // slot freed
+  ASSERT_TRUE(fabric.TryRecv(0, 1).has_value());
+  EXPECT_TRUE(fabric.TrySend(0, 1, overflow));  // slot freed
 }
 
-TEST_P(FabricTest, SendAndBatchedDrainRoundTrip) {
-  auto fabric = MakeFabric(GetParam(), 3, 8);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    WireBatch batch = MakeBatch(i, 100 + i, {static_cast<ViewId>(i)});
-    ASSERT_TRUE(fabric->TrySend(0, 2, batch));
-  }
+TEST(FabricTest, SendAndBatchedDrainRoundTrip) {
+  Fabric fabric(3, 8);
+  const auto send = [&](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t i = from; i < to; ++i) {
+      WireBatch batch = MakeBatch(i, 100 + i, {static_cast<ViewId>(i)});
+      ASSERT_TRUE(fabric.TrySend(0, 2, batch));
+    }
+  };
 
-  // Drain respects max, preserves order, and appends to the caller's
-  // buffer — the runtime reuses one scratch vector across channels.
+  // Each drain empties the channel, preserves order, and appends to the
+  // caller's buffer — the runtime reuses one scratch vector across channels.
   std::vector<WireBatch> out;
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 2), 2u);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 100), 3u);
+  send(0, 2);
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out), 2u);
+  send(2, 5);
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out), 3u);
   ASSERT_EQ(out.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(out[i].ops[0].seq, i);
     EXPECT_EQ(out[i].ops[0].dispatch_ns, 100 + i);
     EXPECT_EQ(out[i].targets, std::vector<ViewId>{static_cast<ViewId>(i)});
   }
-  EXPECT_EQ(fabric->DrainChannel(0, 2, out, 100), 0u);  // empty channel
-  EXPECT_FALSE(fabric->TryRecv(0, 2).has_value());
+  EXPECT_EQ(fabric.DrainChannel(0, 2, out), 0u);  // empty channel
+  EXPECT_FALSE(fabric.TryRecv(0, 2).has_value());
 }
 
-TEST_P(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
-  auto fabric = MakeFabric(GetParam(), 2, 16);
+TEST(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
+  Fabric fabric(2, 16);
   std::uint64_t next_send = 0;
   std::uint64_t next_recv = 0;
   std::vector<WireBatch> out;
@@ -334,30 +330,30 @@ TEST_P(FabricTest, BatchedAndSingleOpCallsInterleaveOnOneChannel) {
     const int burst = round % 2 == 0 ? 2 : 1;
     for (int k = 0; k < burst; ++k) {
       WireBatch one = MakeBatch(next_send++, 1, {static_cast<ViewId>(k)});
-      ASSERT_TRUE(fabric->TrySend(0, 1, one));
+      ASSERT_TRUE(fabric.TrySend(0, 1, one));
     }
     if (round % 3 == 0) {
       out.clear();
-      fabric->DrainChannel(0, 1, out, 3);
+      fabric.DrainChannel(0, 1, out);
       for (const WireBatch& b : out) ASSERT_EQ(b.ops[0].seq, next_recv++);
     } else {
-      while (auto b = fabric->TryRecv(0, 1)) {
+      while (auto b = fabric.TryRecv(0, 1)) {
         ASSERT_EQ(b->ops[0].seq, next_recv++);
       }
     }
   }
-  while (auto b = fabric->TryRecv(0, 1)) ASSERT_EQ(b->ops[0].seq, next_recv++);
+  while (auto b = fabric.TryRecv(0, 1)) ASSERT_EQ(b->ops[0].seq, next_recv++);
   EXPECT_EQ(next_recv, next_send);
 }
 
 // Threaded batched exchange on every channel: producers publish bursts with
 // TrySend, consumers claim with DrainChannel (TSan fodder for the batched
 // claim).
-TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
+TEST(FabricTest, AllPairsThreadedBatchedExchange) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kPerPair = 500;
   constexpr std::uint64_t kBurst = 4;
-  auto fabric = MakeFabric(GetParam(), kShards, 8);
+  Fabric fabric(kShards, 8);
   std::vector<std::thread> workers;
   std::atomic<bool> failed{false};
   workers.reserve(kShards);
@@ -377,12 +373,12 @@ TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
                  k < kBurst && next_send[peer] < kPerPair; ++k) {
               WireBatch batch =
                   MakeBatch(next_send[peer], 1, {static_cast<ViewId>(self)});
-              if (!fabric->TrySend(self, peer, batch)) break;
+              if (!fabric.TrySend(self, peer, batch)) break;
               ++next_send[peer];
             }
           }
           claimed.clear();
-          fabric->DrainChannel(peer, self, claimed, kBurst);
+          fabric.DrainChannel(peer, self, claimed);
           for (const WireBatch& batch : claimed) {
             if (batch.ops[0].seq != next_recv[peer] ||
                 batch.targets[0] != peer) {
@@ -400,27 +396,27 @@ TEST_P(FabricTest, AllPairsThreadedBatchedExchange) {
   EXPECT_FALSE(failed.load());
 }
 
-TEST_P(FabricTest, OldestDispatchNsTracksHeadOfChannel) {
-  auto fabric = MakeFabric(GetParam(), 2, 4);
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 0u);  // empty
+TEST(FabricTest, OldestDispatchNsTracksHeadOfChannel) {
+  Fabric fabric(2, 4);
+  EXPECT_EQ(fabric.OldestDispatchNs(0, 1), 0u);  // empty
   WireBatch first = MakeBatch(1, 500, {1});
   WireBatch second = MakeBatch(2, 900, {2});
-  ASSERT_TRUE(fabric->TrySend(0, 1, first));
-  ASSERT_TRUE(fabric->TrySend(0, 1, second));
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 500u);
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 900u);
-  ASSERT_TRUE(fabric->TryRecv(0, 1).has_value());
-  EXPECT_EQ(fabric->OldestDispatchNs(0, 1), 0u);
+  ASSERT_TRUE(fabric.TrySend(0, 1, first));
+  ASSERT_TRUE(fabric.TrySend(0, 1, second));
+  EXPECT_EQ(fabric.OldestDispatchNs(0, 1), 500u);
+  ASSERT_TRUE(fabric.TryRecv(0, 1).has_value());
+  EXPECT_EQ(fabric.OldestDispatchNs(0, 1), 900u);
+  ASSERT_TRUE(fabric.TryRecv(0, 1).has_value());
+  EXPECT_EQ(fabric.OldestDispatchNs(0, 1), 0u);
 }
 
 // Threaded pairwise exchange: every shard sends a numbered stream to every
 // other shard; receivers must observe each stream complete and in order.
 // Exercises all n*(n-1) channels concurrently (TSan fodder).
-TEST_P(FabricTest, AllPairsThreadedExchange) {
+TEST(FabricTest, AllPairsThreadedExchange) {
   constexpr std::uint32_t kShards = 4;
   constexpr std::uint64_t kPerPair = 500;
-  auto fabric = MakeFabric(GetParam(), kShards, 4);
+  Fabric fabric(kShards, 4);
   std::vector<std::thread> workers;
   std::atomic<bool> failed{false};
   workers.reserve(kShards);
@@ -437,9 +433,9 @@ TEST_P(FabricTest, AllPairsThreadedExchange) {
             done = false;
             WireBatch batch =
                 MakeBatch(next_send[peer], 1, {static_cast<ViewId>(self)});
-            if (fabric->TrySend(self, peer, batch)) ++next_send[peer];
+            if (fabric.TrySend(self, peer, batch)) ++next_send[peer];
           }
-          while (auto batch = fabric->TryRecv(peer, self)) {
+          while (auto batch = fabric.TryRecv(peer, self)) {
             if (batch->ops[0].seq != next_recv[peer] ||
                 batch->targets[0] != peer) {
               failed.store(true);

@@ -251,26 +251,6 @@ TEST(RuntimeReconfigTest, EagerDrainSurvivesReconfiguration) {
   EXPECT_EQ(result.reconfig_events.size(), 2u);
 }
 
-TEST(RuntimeReconfigTest, MutexTransportReconfigMatchesSpsc) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-
-  RuntimeConfig spsc_config;
-  spsc_config.num_shards = 2;
-  RuntimeConfig mutex_config = spsc_config;
-  mutex_config.transport = FabricTransport::kMutex;
-
-  const RuntimeResult spsc = RunReconfiguring(g, log, /*adaptive=*/true,
-                                              spsc_config, {{4, 4}});
-  const RuntimeResult mutex = RunReconfiguring(g, log, /*adaptive=*/true,
-                                               mutex_config, {{4, 4}});
-  ExpectCountersEq(spsc.counters, mutex.counters);
-  ASSERT_EQ(spsc.shard_counters.size(), mutex.shard_counters.size());
-  for (std::size_t s = 0; s < spsc.shard_counters.size(); ++s) {
-    ExpectCountersEq(spsc.shard_counters[s], mutex.shard_counters[s]);
-  }
-}
-
 // ----- Determinism and per-shard accounting -----
 
 TEST(RuntimeReconfigTest, ReconfiguringRunsAreDeterministic) {

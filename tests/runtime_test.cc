@@ -484,13 +484,12 @@ TEST(ShardedRuntimeTest, PayloadModeReplicatesWritesForCoherence) {
   }
 }
 
-// ----- Fabric transports and drain policies -----
+// ----- Drain policies -----
 
-RuntimeConfig FabricConfig(std::uint32_t shards, FabricTransport transport,
-                           DrainPolicy drain, bool threaded = true) {
+RuntimeConfig FabricConfig(std::uint32_t shards, DrainPolicy drain,
+                           bool threaded = true) {
   RuntimeConfig config;
   config.num_shards = shards;
-  config.transport = transport;
   config.drain = drain;
   config.spawn_threads = threaded;
   return config;
@@ -509,72 +508,15 @@ void ExpectStatsEq(const ShardStats& a, const ShardStats& b) {
   EXPECT_EQ(a.epochs, b.epochs);
 }
 
-TEST(FabricRuntimeTest, SpscEpochMatchesMutexBitForBit) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  const RuntimeResult spsc = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEpoch));
-  const RuntimeResult mutex = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kMutex, DrainPolicy::kEpoch));
-
-  ExpectCountersEq(spsc.counters, mutex.counters);
-  ASSERT_EQ(spsc.shard_counters.size(), mutex.shard_counters.size());
-  for (std::size_t s = 0; s < spsc.shard_counters.size(); ++s) {
-    ExpectCountersEq(spsc.shard_counters[s], mutex.shard_counters[s]);
-    ExpectStatsEq(spsc.shard_stats[s], mutex.shard_stats[s]);
-  }
-  for (int tier = 0; tier < net::kNumTiers; ++tier) {
-    EXPECT_EQ(spsc.traffic_app[tier], mutex.traffic_app[tier]);
-    EXPECT_EQ(spsc.traffic_sys[tier], mutex.traffic_sys[tier]);
-  }
-}
-
-TEST(FabricRuntimeTest, BatchedDrainMatchesSingleOpBitForBit) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g);
-
-  // The batched fast path (one DrainChannel claim per channel) against the
-  // original one-TryRecv-per-batch reference, on both transports: under
-  // kEpoch the four runs must be bit-identical.
-  std::vector<RuntimeResult> results;
-  for (const FabricTransport transport :
-       {FabricTransport::kSpsc, FabricTransport::kMutex}) {
-    for (const bool batched : {true, false}) {
-      RuntimeConfig config =
-          FabricConfig(4, transport, DrainPolicy::kEpoch);
-      config.batched_drain = batched;
-      results.push_back(RunSharded(g, log, /*adaptive=*/true, config));
-    }
-  }
-  const RuntimeResult& reference = results.front();
-  EXPECT_EQ(reference.totals.requests, reference.expected_requests);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ExpectCountersEq(results[i].counters, reference.counters);
-    ASSERT_EQ(results[i].shard_counters.size(),
-              reference.shard_counters.size());
-    for (std::size_t s = 0; s < reference.shard_counters.size(); ++s) {
-      ExpectCountersEq(results[i].shard_counters[s],
-                       reference.shard_counters[s]);
-      ExpectStatsEq(results[i].shard_stats[s], reference.shard_stats[s]);
-    }
-  }
-}
-
 TEST(FabricRuntimeTest, PlacementOnOrOffIsBitIdentical) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
 
-  const RuntimeConfig plain =
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEpoch);
+  const RuntimeConfig plain = FabricConfig(4, DrainPolicy::kEpoch);
   RuntimeConfig placed = plain;
   placed.placement.pin_threads = true;
-  placed.placement.first_touch = true;
 
-  // Placement only moves threads and memory pages; pinning, the worker-side
-  // engine rebuild, and the ring prefault must not change a single counter.
+  // Placement only moves threads; pinning must not change a single counter.
   // This holds whether or not the affinity calls succeed (they may fail in
   // restricted containers — the documented graceful no-op).
   const RuntimeResult a = RunSharded(g, log, /*adaptive=*/true, plain);
@@ -592,14 +534,11 @@ TEST(FabricRuntimeTest, PlacementSurvivesMidRunResize) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
 
-  RuntimeConfig placed =
-      FabricConfig(2, FabricTransport::kSpsc, DrainPolicy::kEpoch);
+  RuntimeConfig placed = FabricConfig(2, DrainPolicy::kEpoch);
   placed.placement.pin_threads = true;
-  placed.placement.first_touch = true;
 
   // Mid-run split then merge: newly spawned workers run their own placement
-  // phase (pin + prefault, never an engine rebuild — they import migrated
-  // state); results stay bit-identical to the unplaced run of the same plan.
+  // phase; results stay bit-identical to the unplaced run of the same plan.
   const auto run = [&](const RuntimeConfig& config) {
     const RuntimeFixture fx = MakeFixture(g, BaseConfig(/*adaptive=*/true));
     ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, config);
@@ -622,19 +561,6 @@ TEST(FabricRuntimeTest, PlacementSurvivesMidRunResize) {
   }
 }
 
-TEST(FabricRuntimeTest, MutexTransportOneShardStillMatchesSequential) {
-  const auto g = TestGraph();
-  const auto log = TestLog(g, 0.5);
-  const sim::SimResult sequential =
-      sim::RunExperiment(g, log, BaseConfig(/*adaptive=*/true));
-
-  const RuntimeResult result =
-      RunSharded(g, log, /*adaptive=*/true,
-                 FabricConfig(1, FabricTransport::kMutex, DrainPolicy::kEpoch,
-                              /*threaded=*/false));
-  ExpectCountersEq(result.counters, sequential.counters);
-}
-
 TEST(FabricRuntimeTest, EagerDrainConservesAllWorkThreaded) {
   const auto g = TestGraph();
   const auto log = TestLog(g);
@@ -642,8 +568,7 @@ TEST(FabricRuntimeTest, EagerDrainConservesAllWorkThreaded) {
       sim::RunExperiment(g, log, BaseConfig(/*adaptive=*/true));
 
   const RuntimeResult result = RunSharded(
-      g, log, /*adaptive=*/true,
-      FabricConfig(4, FabricTransport::kSpsc, DrainPolicy::kEager));
+      g, log, /*adaptive=*/true, FabricConfig(4, DrainPolicy::kEager));
 
   // Eager serving reorders remote slices (that is the point) but must not
   // lose or duplicate any work.
@@ -664,8 +589,8 @@ TEST(FabricRuntimeTest, EagerInlineIsDeterministic) {
   const auto g = TestGraph();
   const auto log = TestLog(g, 0.5);
 
-  const RuntimeConfig config = FabricConfig(
-      3, FabricTransport::kSpsc, DrainPolicy::kEager, /*threaded=*/false);
+  const RuntimeConfig config =
+      FabricConfig(3, DrainPolicy::kEager, /*threaded=*/false);
   const RuntimeResult a = RunSharded(g, log, /*adaptive=*/true, config);
   const RuntimeResult b = RunSharded(g, log, /*adaptive=*/true, config);
 
@@ -684,8 +609,7 @@ TEST(FabricRuntimeTest, EagerActuallyServesSubEpoch) {
 
   const RuntimeResult result = RunSharded(
       g, log, /*adaptive=*/false,
-      FabricConfig(3, FabricTransport::kSpsc, DrainPolicy::kEager,
-                   /*threaded=*/false));
+      FabricConfig(3, DrainPolicy::kEager, /*threaded=*/false));
   EXPECT_GT(result.totals.eager_drains, 0u);
   EXPECT_EQ(result.totals.requests, result.expected_requests);
 }
@@ -694,11 +618,11 @@ TEST(FabricRuntimeTest, EagerWithHugeStalenessDegeneratesToEpoch) {
   const auto g = TestGraph();
   const auto log = TestLog(g, 0.5);
 
-  RuntimeConfig eager = FabricConfig(3, FabricTransport::kSpsc,
-                                     DrainPolicy::kEager, /*threaded=*/false);
+  RuntimeConfig eager =
+      FabricConfig(3, DrainPolicy::kEager, /*threaded=*/false);
   eager.staleness_micros = ~std::uint64_t{0} / 2000;  // never reached
-  const RuntimeConfig epoch = FabricConfig(
-      3, FabricTransport::kSpsc, DrainPolicy::kEpoch, /*threaded=*/false);
+  const RuntimeConfig epoch =
+      FabricConfig(3, DrainPolicy::kEpoch, /*threaded=*/false);
 
   const RuntimeResult a = RunSharded(g, log, /*adaptive=*/true, eager);
   const RuntimeResult b = RunSharded(g, log, /*adaptive=*/true, epoch);
@@ -713,7 +637,7 @@ TEST(FabricRuntimeTest, EagerWithHugeStalenessDegeneratesToEpoch) {
   }
 }
 
-TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerMutexTransport) {
+TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerDrain) {
   const auto g = TestGraph(400);
   const auto log = TestLog(g, 0.5);
 
@@ -726,9 +650,8 @@ TEST(FabricRuntimeTest, PayloadModeCoherentUnderEagerMutexTransport) {
     persist.Append({u, 0, "seed"});
   }
 
-  ShardedRuntime runtime(
-      g, fx.topo, fx.placement, fx.engine,
-      FabricConfig(2, FabricTransport::kMutex, DrainPolicy::kEager));
+  ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine,
+                         FabricConfig(2, DrainPolicy::kEager));
   runtime.AttachPersistentStore(&persist);
   const RuntimeResult result = runtime.Run(log);
 
@@ -957,7 +880,7 @@ TEST(ShardedRuntimeTest, ValidationErrorsNameTheOffendingField) {
   bad_scaler.scaler.min_shards = 0;
   EXPECT_NE(message_of(bad_scaler).find("min_shards"), std::string::npos);
 
-  // ...and the placement config's: stride 0 is rejected only when placement
+  // ...and the placement config's: stride 0 is rejected only when pinning
   // is actually enabled (the dormant default config stays valid).
   RuntimeConfig bad_stride;
   bad_stride.placement.pin_threads = true;
@@ -967,10 +890,6 @@ TEST(ShardedRuntimeTest, ValidationErrorsNameTheOffendingField) {
   RuntimeConfig dormant_stride;
   dormant_stride.placement.cpu_stride = 0;  // placement off: unchecked
   EXPECT_NO_THROW(dormant_stride.Validate());
-  RuntimeConfig first_touch_stride;
-  first_touch_stride.placement.first_touch = true;
-  first_touch_stride.placement.cpu_stride = 0;
-  EXPECT_THROW(first_touch_stride.Validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(RuntimeConfig{}.Validate());  // defaults are valid
 

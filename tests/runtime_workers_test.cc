@@ -115,7 +115,6 @@ TEST(RuntimeWorkersTest, PlacementRunsOncePerWorkerAcrossRuns) {
   const RuntimeFixture fx = MakeFixture(g);
   RuntimeConfig config = Config(3);
   config.placement.pin_threads = true;
-  config.placement.first_touch = true;
   config.telemetry.enabled = true;
   ShardedRuntime runtime(g, fx.topo, fx.placement, fx.engine, config);
 
@@ -129,8 +128,8 @@ TEST(RuntimeWorkersTest, PlacementRunsOncePerWorkerAcrossRuns) {
   }
   ASSERT_NE(r.telemetry, nullptr);
   EXPECT_EQ(r.telemetry->dropped_events, 0u);
-  // Workers persist across Runs, so pinning and first-touch happened once
-  // each: one kPlacement event per shard over the runtime's lifetime.
+  // Workers persist across Runs, so pinning happened once per worker: one
+  // kPlacement event per shard over the runtime's lifetime.
   EXPECT_EQ(CountPlacements(r), 3u);
   ExpectConserved(r, sent);
 }
